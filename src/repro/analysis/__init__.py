@@ -7,13 +7,12 @@ guarantees:
   analyser with project-specific rules: the token/AST rules
   (:mod:`repro.analysis.rules` — NCD-accounting hygiene, seeded
   randomness, tolerance-based distance comparisons, no accidental
-  all-pairs scans, explicit public surfaces) and the CFG/dataflow rules
+  all-pairs scans, explicit public surfaces) and the RPL1xx rules
   (:mod:`repro.analysis.flowrules` — pickle-safety at worker boundaries,
-  all-paths span/ledger pairing, seed provenance, external-count booking
-  discipline, float-stability shapes), built on a per-function CFG
-  (:mod:`repro.analysis.cfg`), a scope/value-origin model
-  (:mod:`repro.analysis.dataflow`), and a cross-module symbol table
-  (:mod:`repro.analysis.symbols`);
+  sites opened only through ``with site(label):``, seed provenance,
+  external-count booking discipline, float-stability shapes), built on a
+  scope/value-origin model (:mod:`repro.analysis.dataflow`) and a
+  cross-module symbol table (:mod:`repro.analysis.symbols`);
 * :mod:`repro.analysis.audit` — a CF*-tree invariant sanitizer that walks
   a live tree and checks the structural and CF*-level properties of
   Sections 3-4 (Lemma 4.2, Observation 1);

@@ -1,11 +1,10 @@
 """The RPL1xx rule family: dataflow-aware invariants.
 
 Where the RPL0xx rules in :mod:`repro.analysis.rules` pattern-match
-syntax, these rules run on the shared analysis core — per-function CFGs
-(:mod:`repro.analysis.cfg`), scope/origin resolution
-(:mod:`repro.analysis.dataflow`), and the cross-module symbol table
-(:mod:`repro.analysis.symbols`) — so they can *prove* properties about
-paths and provenance instead of grepping for shapes:
+syntax, RPL101 and RPL103 run on the shared analysis core — scope/origin
+resolution (:mod:`repro.analysis.dataflow`) and the cross-module symbol
+table (:mod:`repro.analysis.symbols`) — so they can *prove* properties
+about provenance instead of grepping for shapes:
 
 RPL101 **pickle-safety**
     Any callable/object flowing into a worker boundary —
@@ -16,13 +15,12 @@ RPL101 **pickle-safety**
     resolve to the wrong object) when the spawn start method imports the
     module fresh in the worker.
 RPL102 **span/ledger discipline**
-    Every ``push_site`` must be popped on *all* CFG paths out of the
-    function — including the exceptional ones — i.e. the pop is provably
-    reached via ``try/finally``; and no ``pop_site`` may run with a
-    provably empty site stack. An unpopped site mis-attributes every
-    subsequent distance call, silently breaking the
-    ``sum(by_site) == n_calls`` conservation law the observability layer
-    guarantees.
+    ``push_site``/``pop_site`` are called nowhere outside
+    ``metrics/base.py``: library code opens an attribution site only with
+    ``with site(label):``, which closes it on every exit path. A
+    hand-paired site that a raise skips mis-attributes every later
+    distance call, silently breaking the ``sum(by_site) == n_calls``
+    conservation law the observability layer guarantees.
 RPL103 **seed provenance**
     RNG construction must derive from a parameter / ``SeedSequence``
     dataflow. Hard-coded literal seeds, wall-clock-derived seeds, and
@@ -31,9 +29,8 @@ RPL103 **seed provenance**
 RPL104 **external-count booking**
     ``count_external`` — the only way to book distance calls that
     happened in another process — may appear only in the accounting-layer
-    modules, and any *site-attributed* booking must be post-dominated (on
-    normal flow) by a residual site-less booking, so a partial
-    attribution loop can never leave ``sum(by_site) < n_calls``.
+    modules. It books a worker's per-site split and its residual in one
+    call, so a partial attribution cannot leave ``sum(by_site) < n_calls``.
 RPL105 **float-stability**
     In the numerics-bearing modules (``birch/``, ``core/features.py``,
     ``fastmap/``), flag catastrophic-cancellation shapes — differences of
@@ -51,7 +48,6 @@ import ast
 import re
 from collections.abc import Iterator
 
-from repro.analysis.cfg import CFG, FunctionCFG, iter_function_cfgs
 from repro.analysis.dataflow import OriginKind, resolve_expr
 from repro.analysis.rules import Finding, Rule, RuleContext
 
@@ -99,8 +95,7 @@ def _check_pickle_safety(ctx: RuleContext) -> Iterator[Finding]:
     scopes = ctx.scopes
     # Walk with scope tracking: resolve each shipped argument from the
     # scope of the function the call appears in.
-    for fn_cfg in ctx.function_cfgs:
-        container = fn_cfg.func if fn_cfg.func is not None else ctx.tree
+    for container in ctx.containers:
         scope = scopes.scope_of(container)
         for call in _calls_in(container):
             callee = _callee_name(call.func)
@@ -152,174 +147,27 @@ def _calls_in(container: ast.AST) -> Iterator[ast.Call]:
 
 
 # ----------------------------------------------------------------------
-# RPL102 — push_site/pop_site pairing on every CFG path
+# RPL102 — attribution sites open only through ``with site(label):``
 # ----------------------------------------------------------------------
-#: Bound on tracked stack depth; saturation still reports the violation
-#: (an over-deep stack never empties), it just guarantees termination.
-_MAX_SITE_DEPTH = 8
-
-#: (label, line, col) describing one open push.
-_PushEntry = tuple[str, int, int]
-_Stack = tuple[_PushEntry, ...]
-
-
-def _node_exprs(stmt: ast.stmt) -> list[ast.AST]:
-    """The sub-expressions evaluated *at* a CFG node for ``stmt``.
-
-    A compound statement's node represents only its header (test, iterable,
-    context managers, match subject) — the suite bodies have CFG nodes of
-    their own, and counting their calls here would double-book them.
-    """
-    if isinstance(stmt, (ast.If, ast.While)):
-        return [stmt.test]
-    if isinstance(stmt, (ast.For, ast.AsyncFor)):
-        return [stmt.iter]
-    if isinstance(stmt, (ast.With, ast.AsyncWith)):
-        return [item.context_expr for item in stmt.items]
-    if isinstance(stmt, ast.Match):
-        return [stmt.subject]
-    if isinstance(stmt, ast.Try) or (
-        hasattr(ast, "TryStar") and isinstance(stmt, ast.TryStar)
-    ):
-        return []
-    return [stmt]
-
-
-def _calls_at(stmt: ast.stmt) -> Iterator[ast.Call]:
-    """Calls executed when this CFG node runs (nested defs excluded)."""
-    stack: list[ast.AST] = list(_node_exprs(stmt))
-    while stack:
-        node = stack.pop()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            continue  # executed at call time, not here
-        if isinstance(node, ast.Call):
-            yield node
-        stack.extend(ast.iter_child_nodes(node))
-
-
-def _site_calls(stmt: ast.stmt) -> list[tuple[str, ast.Call]]:
-    """``("push"|"pop", call)`` for the ledger-site calls evaluated at
-    ``stmt``'s CFG node, in source order."""
-    found: list[tuple[str, ast.Call]] = []
-    for node in _calls_at(stmt):
-        name = _callee_name(node.func)
-        if name == "push_site":
-            found.append(("push", node))
-        elif name == "pop_site":
-            found.append(("pop", node))
-    found.sort(key=lambda item: (item[1].lineno, item[1].col_offset))
-    return found
-
-
-def _push_label(call: ast.Call) -> str:
-    if call.args and isinstance(call.args[0], ast.Constant):
-        return str(call.args[0].value)
-    return "<site>"
+#: The one module that owns ``CallLedger.stack``.
+_SITE_MODULE = "metrics/base.py"
+_HAND_SITE_CALLS = frozenset({"push_site", "pop_site"})
 
 
 def _check_span_discipline(ctx: RuleContext) -> Iterator[Finding]:
-    if "push_site" not in ctx.source and "pop_site" not in ctx.source:
+    if ctx.path.endswith(_SITE_MODULE) or not any(
+        name in ctx.source for name in _HAND_SITE_CALLS
+    ):
         return
-    for fn_cfg in ctx.function_cfgs:
-        yield from _check_function_pairing(fn_cfg)
-
-
-def _pure_site_stmt(stmt: ast.stmt) -> bool:
-    """A statement that is exactly one ``push_site``/``pop_site`` call.
-
-    The ledger accessors are trivial list operations; modeling them as
-    able to raise *mid-pairing* would flag every correctly written
-    ``finally: pop_site()`` (the pop itself would "escape" unpopped).
-    """
-    if not isinstance(stmt, ast.Expr):
-        return False
-    calls = [n for n in ast.walk(stmt) if isinstance(n, ast.Call)]
-    if len(calls) != 1:
-        return False
-    return _callee_name(calls[0].func) in ("push_site", "pop_site")
-
-
-def _check_function_pairing(fn_cfg: FunctionCFG) -> Iterator[Finding]:
-    cfg = fn_cfg.cfg
-    ops: dict[int, list[tuple[str, ast.Call]]] = {}
-    pure_site: set[int] = set()
-    any_ops = False
-    for node in cfg.statement_nodes():
-        calls = _site_calls(node.stmt) if node.stmt is not None else []
-        if calls:
-            ops[node.index] = calls
-            any_ops = True
-            if node.stmt is not None and _pure_site_stmt(node.stmt):
-                pure_site.add(node.index)
-    if not any_ops:
-        return
-
-    # Forward worklist over stacks-of-open-sites. Exception edges carry
-    # the PRE-state (a statement that raises performed no push/pop).
-    states: dict[int, set[_Stack]] = {cfg.entry: {()}}
-    worklist = [cfg.entry]
-    while worklist:
-        index = worklist.pop()
-        pre = states.get(index, set())
-        node_ops = ops.get(index, [])
-        post: set[_Stack] = set()
-        for stack in pre:
-            current = stack
-            for op, call in node_ops:
-                if op == "push":
-                    if len(current) < _MAX_SITE_DEPTH:
-                        entry: _PushEntry = (
-                            _push_label(call), call.lineno, call.col_offset
-                        )
-                        current = (*current, entry)
-                elif current:
-                    current = current[:-1]
-            post.add(current)
-        exc_state: set[_Stack] = set() if index in pure_site else pre
-        for successors, flowing in ((cfg.succ[index], post), (cfg.exc_succ[index], exc_state)):
-            for succ in successors:
-                known = states.setdefault(succ, set())
-                new = flowing - known
-                if new:
-                    known |= new
-                    worklist.append(succ)
-
-    # Unmatched pushes: any stack still open at either exit.
-    reported: set[tuple[int, int]] = set()
-    for exit_index, how in ((cfg.exit_raise, "an exception path"), (cfg.exit_normal, "a normal path")):
-        for stack in states.get(exit_index, set()):
-            for label, line, col in stack:
-                if (line, col) not in reported:
-                    reported.add((line, col))
-                    yield (
-                        line,
-                        col,
-                        f"push_site({label!r}) is not popped on {how} out of "
-                        f"`{fn_cfg.name}`; close it in a try/finally so site "
-                        "attribution cannot leak",
-                    )
-
-    # Definitely-unmatched pops: every state reaching the pop is empty.
-    for index, node_ops in ops.items():
-        pre = states.get(index)
-        if not pre:
-            continue  # unreachable code: nothing to prove
-        stack_depths = {len(stack) for stack in pre}
-        depth_budget = min(stack_depths)
-        for op, call in node_ops:
-            if op == "push":
-                depth_budget += 1
-            else:
-                if depth_budget == 0:
-                    yield (
-                        call.lineno,
-                        call.col_offset,
-                        f"pop_site() in `{fn_cfg.name}` can never match a "
-                        "push_site on any path; it would close an outer "
-                        "caller's site",
-                    )
-                    break
-                depth_budget -= 1
+    for node in ast.walk(ctx.tree):
+        if isinstance(node, ast.Call) and _callee_name(node.func) in _HAND_SITE_CALLS:
+            yield (
+                node.lineno,
+                node.col_offset,
+                f"{_callee_name(node.func)}() outside {_SITE_MODULE}; open "
+                "attribution sites with `with site(label):`, which closes "
+                "them on every exit path",
+            )
 
 
 # ----------------------------------------------------------------------
@@ -344,8 +192,7 @@ def _seed_argument(call: ast.Call) -> ast.expr | None:
 
 def _check_seed_provenance(ctx: RuleContext) -> Iterator[Finding]:
     scopes = ctx.scopes
-    for fn_cfg in ctx.function_cfgs:
-        container = fn_cfg.func if fn_cfg.func is not None else ctx.tree
+    for container in ctx.containers:
         scope = scopes.scope_of(container)
         for call in _calls_in(container):
             callee = _callee_name(call.func)
@@ -399,75 +246,33 @@ def _is_none_literal(seed: ast.expr) -> bool:
 # RPL104 — external-count booking stays in the accounting layer
 # ----------------------------------------------------------------------
 #: Modules allowed to book external counts: the primitive itself, the
-#: guard wrapper that owns its counting, and the parallel build/matrix
-#: re-booking paths.
+#: guard wrapper that owns its counting, and the parallel phases that
+#: absorb worker counts (sharded build, pairwise matrix, CLARA).
 _BOOKING_ALLOWLIST = (
     "metrics/base.py",
     "robustness/guarded.py",
     "parallel/build.py",
     "parallel/matrix.py",
+    "clarans/clara.py",
 )
 
 
-def _is_count_external(call: ast.Call) -> bool:
-    return isinstance(call.func, ast.Attribute) and call.func.attr == "count_external"
-
-
-def _is_super_delegation(call: ast.Call) -> bool:
-    func = call.func
-    return (
-        isinstance(func, ast.Attribute)
-        and isinstance(func.value, ast.Call)
-        and isinstance(func.value.func, ast.Name)
-        and func.value.func.id == "super"
-    )
-
-
-def _has_site_kw(call: ast.Call) -> bool:
-    return any(kw.arg == "site" for kw in call.keywords) or len(call.args) >= 2
-
-
 def _check_booking_discipline(ctx: RuleContext) -> Iterator[Finding]:
-    if "count_external" not in ctx.source:
+    if "count_external" not in ctx.source or ctx.path.endswith(_BOOKING_ALLOWLIST):
         return
-    allowlisted = ctx.path.endswith(_BOOKING_ALLOWLIST)
-    for fn_cfg in ctx.function_cfgs:
-        site_nodes: list[tuple[int, ast.Call]] = []
-        residual_nodes: set[int] = set()
-        for node in fn_cfg.cfg.statement_nodes():
-            if node.stmt is None:
-                continue
-            for call in _calls_at(node.stmt):
-                if not _is_count_external(call):
-                    continue
-                if not allowlisted:
-                    yield (
-                        call.lineno,
-                        call.col_offset,
-                        "count_external() outside the accounting layer "
-                        f"({', '.join(_BOOKING_ALLOWLIST)}) can fabricate NCD; "
-                        "route worker counts through the parallel build",
-                    )
-                    continue
-                if _is_super_delegation(call):
-                    continue  # the override chain IS the re-booking
-                if _has_site_kw(call):
-                    site_nodes.append((node.index, call))
-                else:
-                    residual_nodes.add(node.index)
-        if not site_nodes or ctx.path.endswith("metrics/base.py"):
-            # The primitive's own definition performs the site push itself.
-            continue
-        postdom = fn_cfg.cfg.postdominators()
-        for index, call in site_nodes:
-            if not (postdom[index] & residual_nodes):
-                yield (
-                    call.lineno,
-                    call.col_offset,
-                    "site-attributed count_external() is not post-dominated by "
-                    "a residual site-less booking; a partial attribution loop "
-                    "could leave sum(by_site) < n_calls",
-                )
+    for node in ast.walk(ctx.tree):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "count_external"
+        ):
+            yield (
+                node.lineno,
+                node.col_offset,
+                "count_external() outside the accounting layer "
+                f"({', '.join(_BOOKING_ALLOWLIST)}) can fabricate NCD; "
+                "route worker counts through the parallel build",
+            )
 
 
 # ----------------------------------------------------------------------
@@ -552,8 +357,8 @@ FLOW_RULES: tuple[Rule, ...] = (
     ),
     Rule(
         code="RPL102",
-        summary="push_site/pop_site must pair on every CFG path, including exceptional ones",
-        rationale="an unpopped site mis-attributes all later calls and breaks NCD conservation",
+        summary="push_site/pop_site only in metrics/base.py; open sites with `with site(label):`",
+        rationale="a hand-paired site a raise skips mis-attributes all later calls and breaks NCD conservation",
         checker=_check_span_discipline,
     ),
     Rule(
@@ -564,8 +369,8 @@ FLOW_RULES: tuple[Rule, ...] = (
     ),
     Rule(
         code="RPL104",
-        summary="count_external only in the accounting layer, site bookings followed by a residual",
-        rationale="external booking elsewhere (or partial attribution) falsifies sum(by_site) == n_calls",
+        summary="count_external only in the accounting layer",
+        rationale="external booking elsewhere fabricates NCD and falsifies sum(by_site) == n_calls",
         checker=_check_booking_discipline,
     ),
     Rule(

@@ -6,11 +6,12 @@ reproduction depends on (see :mod:`repro.analysis.rules`,
 :mod:`repro.analysis.flowrules` and ``docs/analysis.md`` for the
 catalogue): honest NCD accounting, seeded randomness, tolerance-based
 distance comparisons, no accidental all-pairs scans, explicit public
-surfaces — and, via the dataflow engine (:mod:`repro.analysis.cfg`,
-:mod:`repro.analysis.dataflow`, :mod:`repro.analysis.symbols`),
-pickle-safety at worker boundaries, all-paths span/ledger pairing, seed
-provenance, external-count booking discipline, and float-stability
-shapes feeding the BETULA worklist.
+surfaces — and, via the dataflow engine (:mod:`repro.analysis.dataflow`,
+:mod:`repro.analysis.symbols`), pickle-safety at worker boundaries and
+seed provenance, plus AST checks that attribution sites open only through
+``with site(label):``, that external-count booking stays in the
+accounting layer, and float-stability shapes feeding the BETULA
+worklist.
 
 Built on :mod:`ast` and :mod:`tokenize` only — no third-party
 dependencies. Run it as ``repro lint``, ``python -m repro.analysis``, or
@@ -27,7 +28,7 @@ Suppression syntax (reasons are mandatory — RPL000 flags bare ones)::
 A suppression whose rule would not have fired is itself an RPL000
 violation, so the suppression inventory can never silently go stale.
 Profiles select which rules run: ``src`` (everything) and ``tests``
-(parallel-safety rules only — RPL000/RPL101/RPL102).
+(lint integrity and pickle-safety only — RPL000/RPL101).
 """
 
 from __future__ import annotations
@@ -59,17 +60,18 @@ __all__ = [
 ]
 
 #: The complete catalogue: the engine-level meta rule, the token/AST
-#: rules, and the CFG/dataflow rules.
+#: rules, and the dataflow rules.
 ALL_RULES: tuple[Rule, ...] = (META_RULE, *BASE_RULES, *FLOW_RULES)
 
 #: Named rule profiles. ``None`` means "every rule". The ``tests``
-#: profile keeps the parallel-safety rules (pickle-safety and span/ledger
-#: pairing — tests construct real worker tasks and tracer spans) while
+#: profile keeps pickle-safety (tests construct real worker tasks) while
 #: dropping style- and scope-rules that are meaningless for test code
-#: (loop-depth RPL004, ``__all__`` RPL005, seeded-randomness RPL002, ...).
+#: (loop-depth RPL004, ``__all__`` RPL005, seeded-randomness RPL002, ...)
+#: and the layering rule RPL102 (tests exercise ``push_site``/``pop_site``
+#: themselves).
 PROFILES: dict[str, tuple[str, ...] | None] = {
     "src": None,
-    "tests": ("RPL000", "RPL101", "RPL102"),
+    "tests": ("RPL000", "RPL101"),
 }
 
 _DISABLE_MARKER = "reprolint:"

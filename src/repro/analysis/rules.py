@@ -39,7 +39,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
-    from repro.analysis.cfg import FunctionCFG
     from repro.analysis.dataflow import ModuleScopes
     from repro.analysis.symbols import ProjectSymbolTable
 
@@ -71,8 +70,8 @@ class RuleContext:
 
     Token-level rules only touch ``tree``/``path``/``source``; the RPL1xx
     dataflow rules additionally pull ``scopes`` (lexical scope tree with
-    per-binding value origins), ``function_cfgs`` (statement-granular
-    control-flow graphs), and ``symbols`` (the cross-module import-resolving
+    per-binding value origins), ``containers`` (the module body plus each
+    function def), and ``symbols`` (the cross-module import-resolving
     table, shared across the whole lint run). The expensive artefacts are
     memoised so multiple rules pay for them once.
     """
@@ -89,7 +88,7 @@ class RuleContext:
         self.source = source
         self.symbols = symbols
         self._scopes: ModuleScopes | None = None
-        self._function_cfgs: list[FunctionCFG] | None = None
+        self._containers: list[Container] | None = None
 
     @property
     def scopes(self) -> ModuleScopes:
@@ -100,12 +99,23 @@ class RuleContext:
         return self._scopes
 
     @property
-    def function_cfgs(self) -> list[FunctionCFG]:
-        if self._function_cfgs is None:
-            from repro.analysis.cfg import iter_function_cfgs
+    def containers(self) -> list[Container]:
+        if self._containers is None:
+            self._containers = list(_iter_containers(self.tree))
+        return self._containers
 
-            self._function_cfgs = list(iter_function_cfgs(self.tree))
-        return self._function_cfgs
+
+#: A module body or function definition: a unit the dataflow rules scan.
+Container = ast.Module | ast.FunctionDef | ast.AsyncFunctionDef
+
+
+def _iter_containers(tree: ast.Module) -> Iterator[Container]:
+    """The module body, then every function def, nested ones included
+    (a nested body runs at call time, under its own scope)."""
+    yield tree
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node
 
 
 #: Checker signature shared by every concrete rule.

@@ -19,9 +19,9 @@ n_samples, sample_size)`` and in particular independent of ``n_jobs``.
 
 Accounting: each worker counts its sample search on a private metric copy
 under its own :class:`~repro.metrics.base.CallLedger` with the
-``global-sample`` site open; the parent re-books every successful
-attempt's calls through
-:func:`~repro.parallel.build.rebook_worker_calls` under a
+``global-sample`` site open; the parent books every successful
+attempt's calls and their per-site split with one
+:meth:`~repro.metrics.base.DistanceFunction.count_external` under a
 ``global-sample`` span, and scores candidates with batched ``cross()``
 gathers under a ``global-assign`` span — so ``sum(by_site) == n_calls``
 keeps holding through the sampled global phase, and calls spent by
@@ -46,11 +46,10 @@ from repro.metrics.base import (
     DistanceFunction,
     activate_ledger,
     deactivate_ledger,
-    pop_site,
-    push_site,
+    site,
 )
 from repro.observability.tracer import NULL_TRACER, NullTracer
-from repro.parallel.build import _metric_blob, rebook_worker_calls
+from repro.parallel.build import _metric_blob
 from repro.parallel.pool import ShardSupervisor
 from repro.robustness.injection import ChaosPolicy
 
@@ -132,11 +131,10 @@ def run_sample(task: SampleTask) -> SampleResult:
     )
     ledger = CallLedger()
     previous = activate_ledger(ledger)
-    push_site(SAMPLE_SITE)
     try:
-        search.fit(objects)
+        with site(SAMPLE_SITE):
+            search.fit(objects)
     finally:
-        pop_site()
         deactivate_ledger(previous)
     assert search.medoid_indices_ is not None and search.cost_ is not None
     return SampleResult(
@@ -338,11 +336,11 @@ class CLARA:
             return task
 
         def absorb(result: SampleResult) -> None:
-            # Re-book the successful attempt's worker-side calls on the
-            # parent metric, preserving the worker's site labels, so the
-            # ledger keeps partitioning n_calls exactly.
+            # Book the successful attempt's worker-side calls on the parent
+            # metric, preserving the worker's site labels, so the ledger
+            # keeps partitioning n_calls exactly.
             with tracer.span(SAMPLE_SITE):
-                rebook_worker_calls(metric, result.by_site, result.n_calls)
+                metric.count_external(result.n_calls, by_site=result.by_site)
 
         supervisor = ShardSupervisor(
             tasks,

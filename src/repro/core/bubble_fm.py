@@ -32,7 +32,7 @@ from repro.core.nodes import NonLeafNode
 from repro.exceptions import ParameterError
 from repro.fastmap import FastMap
 from repro.fastmap.landmark import LandmarkMDS
-from repro.metrics.base import DistanceFunction, pop_site, push_site
+from repro.metrics.base import DistanceFunction, site
 from repro.utils.validation import check_integer
 
 __all__ = ["BubbleFMPolicy"]
@@ -131,12 +131,10 @@ class BubbleFMPolicy(BubblePolicy):
             node.aux = _FMSampleCache(flat, offsets, None, None, None)
             return
         mapper = self._make_mapper()
-        with self.tracer.span("fastmap-refit"):
-            push_site("fastmap-refit")
-            try:
-                images = mapper.fit(flat)
-            finally:
-                pop_site()
+        # The site also attributes the refit when no tracer is recording,
+        # e.g. under a shard worker's own ledger.
+        with self.tracer.span("fastmap-refit"), site("fastmap-refit"):
+            images = mapper.fit(flat)
         self.n_fastmap_fits += 1
         centroids = np.empty((len(node.entries), self.image_dim), dtype=np.float64)
         for i in range(len(node.entries)):
@@ -191,11 +189,8 @@ class BubbleFMPolicy(BubblePolicy):
         cache = self._node_cache(node)
         if getattr(cache, "mapper", None) is None:
             return super().nonleaf_distances(node, obj)
-        push_site("fastmap-map")
-        try:
+        with site("fastmap-map"):
             image = cache.mapper.transform(obj)  # exactly 2k distance calls
-        finally:
-            pop_site()
         diff = cache.centroids - image
         return np.sqrt(np.einsum("ij,ij->i", diff, diff))
 

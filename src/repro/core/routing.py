@@ -67,7 +67,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.metrics.base import DistanceFunction, pop_site, push_site
+from repro.metrics.base import DistanceFunction, site
 
 __all__ = [
     "PruningStats",
@@ -281,8 +281,7 @@ def pruned_leaf_distances(
     geom, clustroids = ensure_leaf_geometry(metric, node, stats)
     n = len(clustroids)
     pair = geom.pair
-    push_site("leaf-d0")
-    try:
+    with site("leaf-d0"):
         out = np.full(n, np.inf, dtype=np.float64)
         known = np.zeros(n, dtype=bool)
         lb = np.zeros(n, dtype=np.float64)
@@ -312,8 +311,6 @@ def pruned_leaf_distances(
         stats.candidates_evaluated += n_evaluated
         stats.candidates_pruned += n - n_evaluated
         return out
-    finally:
-        pop_site()
 
 
 def pruned_segment_distances(
@@ -339,8 +336,7 @@ def pruned_segment_distances(
     pair = geom.pair
     pivot_positions = geom.positions
     n = len(flat)
-    push_site("nonleaf-d2")
-    try:
+    with site("nonleaf-d2"):
         d_full = np.full(n, np.nan, dtype=np.float64)
         known = np.zeros(n, dtype=bool)
         lb = np.zeros(n, dtype=np.float64)
@@ -407,5 +403,3 @@ def pruned_segment_distances(
         stats.candidates_evaluated += n_evaluated
         stats.candidates_pruned += n_entries - n_evaluated
         return out
-    finally:
-        pop_site()

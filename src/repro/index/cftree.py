@@ -48,7 +48,7 @@ from repro.index.base import (
     QueryBoundCache,
     QuerySession,
 )
-from repro.metrics.base import DistanceFunction, pop_site, push_site
+from repro.metrics.base import DistanceFunction, site
 
 __all__ = ["CFTreeIndex"]
 
@@ -157,11 +157,8 @@ class CFTreeIndex(MetricIndex):
             raise EmptyDatasetError("cannot index an empty CF*-tree")
         self._objects = []
         start_calls = self.metric.n_calls
-        push_site(QUERY_BUILD_SITE)
-        try:
+        with site(QUERY_BUILD_SITE):
             self._root = self._wrap(tree.root)
-        finally:
-            pop_site()
         self._count_build(start_calls)
         self._tree = tree
         self._fingerprint = self._tree_fingerprint(tree)

@@ -15,12 +15,18 @@ routing, ``fastmap-map`` incremental mapping, ...; see
 code path (:meth:`DistanceFunction._count`), so the attributed totals sum
 *exactly* to ``n_calls`` — the conservation law the regression tests pin.
 With no ledger active the cost is a single ``None`` check per counted batch.
+
+Library code opens a site only with ``with site(label):``, which closes it
+on every exit path; this module is the only place that changes
+``CallLedger.stack``. :func:`push_site`/:func:`pop_site` stay public for
+instrumentation outside the package.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Mapping, Sequence
+from types import TracebackType
 from typing import Any
 
 import numpy as np
@@ -33,6 +39,7 @@ __all__ = [
     "activate_ledger",
     "deactivate_ledger",
     "active_ledger",
+    "site",
     "push_site",
     "pop_site",
 ]
@@ -70,9 +77,9 @@ class CallLedger:
 
     def charge(self, n: int) -> None:
         """Book ``n`` distance calls against the innermost open site."""
-        site = self.stack[-1] if self.stack else UNATTRIBUTED_SITE
+        label = self.stack[-1] if self.stack else UNATTRIBUTED_SITE
         by_site = self.by_site
-        by_site[site] = by_site.get(site, 0) + n
+        by_site[label] = by_site.get(label, 0) + n
         self.total += n
 
 
@@ -100,9 +107,47 @@ def active_ledger() -> CallLedger | None:
     return _ACTIVE_LEDGER
 
 
+class site:
+    """Charge the distance calls counted inside a ``with`` block to ``name``.
+
+    ::
+
+        with site("leaf-d0"):
+            d = metric.one_to_many(obj, clustroids)
+
+    The site opens on ``ledger`` (default: the ledger active at entry) and
+    closes on every exit path, normal or exceptional. With no ledger it is
+    a no-op. Sites nest; the innermost one is charged.
+    """
+
+    __slots__ = ("name", "ledger")
+
+    def __init__(self, name: str, ledger: CallLedger | None = None) -> None:
+        self.name = name
+        self.ledger = ledger
+
+    def __enter__(self) -> "site":
+        if self.ledger is None:
+            self.ledger = _ACTIVE_LEDGER
+        if self.ledger is not None:
+            self.ledger.stack.append(self.name)
+        return self
+
+    def __exit__(
+        self,
+        exc_type: type[BaseException] | None,
+        exc: BaseException | None,
+        tb: TracebackType | None,
+    ) -> bool:
+        if self.ledger is not None:
+            self.ledger.stack.pop()
+        return False
+
+
 def push_site(label: str) -> None:
     """Open attribution site ``label`` on the active ledger (no-op when
-    attribution is disabled). Pair with :func:`pop_site` in a ``finally``."""
+    attribution is disabled). Pair with :func:`pop_site` in a ``finally``;
+    library code uses :class:`site` instead."""
     ledger = _ACTIVE_LEDGER
     if ledger is not None:
         ledger.stack.append(label)
@@ -167,32 +212,41 @@ class DistanceFunction(ABC):
         if ledger is not None:
             ledger.charge(n)
 
-    def count_external(self, n: int, site: str | None = None) -> None:
+    def count_external(self, n: int, by_site: Mapping[str, int] | None = None) -> None:
         """Book ``n`` evaluations performed *outside* this process or object.
 
-        The parallel build (:mod:`repro.parallel`) runs each shard with its
-        own metric copy in a worker process; when the shard results come
-        home, the parent re-books the worker-side call counts here so a
-        single metric keeps the authoritative NCD total and, via
-        :meth:`_count`, the active :class:`CallLedger` keeps partitioning
-        ``n_calls`` exactly. ``site`` attributes the absorbed calls to the
-        worker's original site label (``leaf-d0``, ``nonleaf-d2``, ...);
-        ``None`` books them against the innermost open site.
+        The parallel phases (:mod:`repro.parallel`, CLARA) run with their
+        own metric copy in a worker process; when a result comes home, the
+        parent books the worker's ``n_calls`` here so a single metric keeps
+        the authoritative NCD total. ``by_site`` carries the worker
+        ledger's per-site split: each site is booked under its own label,
+        then the residual ``n - sum(by_site)`` against the innermost open
+        site, so the active :class:`CallLedger` keeps partitioning
+        ``n_calls`` exactly. The worker's :data:`UNATTRIBUTED_SITE` calls
+        join the residual. An over-attributed split raises before anything
+        is booked.
 
         No distance values flow through this method — only accounting.
         """
         if n < 0:
             raise ValueError(f"cannot absorb a negative call count ({n})")
-        if n == 0:
-            return
-        if site is None:
-            self._count(n)
-            return
-        push_site(site)
-        try:
-            self._count(n)
-        finally:
-            pop_site()
+        split = {
+            label: int(k)
+            for label, k in (by_site or {}).items()
+            if label != UNATTRIBUTED_SITE
+        }
+        residual = n - sum(split.values())
+        if residual < 0 or any(k < 0 for k in split.values()):
+            raise ValueError(
+                f"worker ledger attributes {sum(split.values())} calls "
+                f"but reports only {n}: {split}"
+            )
+        for label in sorted(split):
+            if split[label]:
+                with site(label):
+                    self._count(split[label])
+        if residual:
+            self._count(residual)
 
     # ------------------------------------------------------------------
     # Public measuring API (counted)
@@ -264,13 +318,14 @@ class DistanceFunction(ABC):
         )
 
     def _pairwise(self, objects: Sequence) -> np.ndarray:
+        # Upper-triangle rows, so a vectorized _one_to_many serves the
+        # whole matrix (one dispatch per row instead of one per pair).
         n = len(objects)
         out = np.zeros((n, n), dtype=np.float64)
-        for i in range(n):
-            for j in range(i + 1, n):
-                d = self._distance(objects[i], objects[j])
-                out[i, j] = d
-                out[j, i] = d
+        for i in range(n - 1):
+            row = self._one_to_many(objects[i], objects[i + 1 :])
+            out[i, i + 1 :] = row
+            out[i + 1 :, i] = row
         return out
 
     def _cross(self, objects_a: Sequence, objects_b: Sequence) -> np.ndarray:

@@ -47,7 +47,7 @@ from repro.index.base import (
     QueryBoundCache,
     QuerySession,
 )
-from repro.metrics.base import DistanceFunction, pop_site, push_site
+from repro.metrics.base import DistanceFunction, site
 from repro.utils.validation import check_integer
 
 __all__ = ["MTree"]
@@ -134,15 +134,12 @@ class MTree(MetricIndex):
     def insert(self, obj: Any) -> None:
         """Insert one object (its index is the current size)."""
         start_calls = self.metric.n_calls
-        push_site(QUERY_BUILD_SITE)
-        try:
+        with site(QUERY_BUILD_SITE):
             split = self._insert_into(
                 self._root, obj, self._size, parent_routing=None
             )
             if split is not None:
                 self._grow_root(split)
-        finally:
-            pop_site()
         self._objects.append(obj)
         self._size += 1
         self._count_build(start_calls)

@@ -17,10 +17,10 @@ two ways at once:
   exactly: their sum equals the global counter of
   :class:`~repro.metrics.base.DistanceFunction`.
 
-Entering a span pushes its name as a site, so un-instrumented calls inside
-a phase are charged to the phase itself; instrumented call sites (the
-policies push ``leaf-d0``, ``nonleaf-d2``, ``fastmap-map``, ...) win by
-being innermost.
+A span *is* a :class:`~repro.metrics.base.site` on the tracer's ledger, so
+un-instrumented calls inside a phase are charged to the phase itself;
+instrumented call sites (the policies open ``leaf-d0``, ``nonleaf-d2``,
+``fastmap-map``, ...) win by being innermost.
 
 The default tracer everywhere is the :data:`NULL_TRACER` singleton whose
 ``span()`` returns one shared no-op context manager — the disabled hot
@@ -35,7 +35,7 @@ from types import TracebackType
 from typing import Any
 
 from repro.exceptions import ParameterError
-from repro.metrics.base import CallLedger, activate_ledger, deactivate_ledger
+from repro.metrics.base import CallLedger, activate_ledger, deactivate_ledger, site
 
 __all__ = ["Tracer", "NullTracer", "NULL_TRACER"]
 
@@ -90,20 +90,22 @@ class NullTracer:
 NULL_TRACER = NullTracer()
 
 
-class _Span:
-    """One open span; a context manager handed out by :meth:`Tracer.span`."""
+class _Span(site):
+    """One span handed out by :meth:`Tracer.span`: a site on the tracer's
+    ledger that also records wall time and the NCD delta."""
 
-    __slots__ = ("tracer", "name", "seq", "depth", "t0", "ncd0")
+    __slots__ = ("tracer", "seq", "depth", "t0", "ncd0")
 
     def __init__(self, tracer: "Tracer", name: str):
+        super().__init__(name, tracer.ledger)
         self.tracer = tracer
-        self.name = name
         self.seq = -1
         self.depth = -1
         self.t0 = 0.0
         self.ncd0 = 0
 
     def __enter__(self) -> "_Span":
+        super().__enter__()
         self.tracer._enter_span(self)
         return self
 
@@ -114,29 +116,7 @@ class _Span:
         tb: TracebackType | None,
     ) -> bool:
         self.tracer._exit_span(self)
-        return False
-
-
-class _Activation:
-    """Re-entrant activation context binding the tracer's ledger."""
-
-    __slots__ = ("tracer",)
-
-    def __init__(self, tracer: "Tracer"):
-        self.tracer = tracer
-
-    def __enter__(self) -> "_Activation":
-        self.tracer._activate()
-        return self
-
-    def __exit__(
-        self,
-        exc_type: type[BaseException] | None,
-        exc: BaseException | None,
-        tb: TracebackType | None,
-    ) -> bool:
-        self.tracer._deactivate()
-        return False
+        return super().__exit__(exc_type, exc, tb)
 
 
 class Tracer(NullTracer):
@@ -201,13 +181,14 @@ class Tracer(NullTracer):
     # ------------------------------------------------------------------
     # Activation (ledger binding)
     # ------------------------------------------------------------------
-    def activation(self) -> _Activation:
-        """Context manager binding this tracer's ledger for attribution.
+    def activation(self) -> "Tracer":
+        """Context manager binding this tracer's ledger for attribution:
+        the tracer itself.
 
         Re-entrant: the drivers wrap their scans in it, and a user-level
         ``with tracer:`` around a whole pipeline nests harmlessly.
         """
-        return _Activation(self)
+        return self
 
     def __enter__(self) -> "Tracer":
         self._activate()
@@ -249,7 +230,6 @@ class Tracer(NullTracer):
         span.t0 = self._clock() - self._t0
         span.ncd0 = self.ledger.total
         self._open.append(span)
-        self.ledger.stack.append(span.name)
         if self.sinks:
             self._emit(
                 {
@@ -268,8 +248,6 @@ class Tracer(NullTracer):
                 f"span {span.name!r} exited out of order; spans must nest"
             )
         self._open.pop()
-        if self.ledger.stack and self.ledger.stack[-1] == span.name:
-            self.ledger.stack.pop()
         t1 = self._clock() - self._t0
         ncd1 = self.ledger.total
         agg = self._aggregates.get(span.name)

@@ -34,9 +34,9 @@ failures on purpose.
 
 Accounting: each worker counts NCD on its own metric copy under its own
 :class:`~repro.metrics.base.CallLedger`; the parent re-books every
-*successful* attempt's calls on its metric via
+*successful* attempt's calls on its metric with one
 :meth:`~repro.metrics.base.DistanceFunction.count_external`, per original
-site label, under a ``shard-ingest`` span (``shard-resume`` for shards
+site label plus the residual, under a ``shard-ingest`` span (``shard-resume`` for shards
 restored from a checkpoint) — so one metric still carries the
 authoritative total and the per-site ledger still partitions ``n_calls``
 exactly. Calls spent by crashed or failed attempts die with the attempt
@@ -80,29 +80,7 @@ from repro.robustness.injection import ChaosPolicy
 from repro.robustness.quarantine import Quarantine
 from repro.robustness.report import IngestReport
 
-__all__ = ["parallel_fit", "rebook_worker_calls", "resolve_n_shards"]
-
-
-def rebook_worker_calls(metric: Any, by_site: dict[str, int], n_calls: int) -> None:
-    """Re-book one worker attempt's distance calls on the parent metric.
-
-    The worker counted ``n_calls`` on its own metric copy under its own
-    :class:`~repro.metrics.base.CallLedger`; booking them here, per
-    original site label, keeps the parent's per-site ledger partitioning
-    its ``n_calls`` exactly. The unconditional residual booking at the end
-    charges any calls the worker ledger did not attribute to the caller's
-    innermost open span — ``count_external(0)`` is a no-op, and an
-    over-attributed worker (negative residual) raises rather than silently
-    skewing ``sum(by_site)`` vs ``n_calls``. This is the one sanctioned
-    absorb path for every parallel phase (sharded build, sampled global
-    phase); call it inside the span the calls belong to.
-    """
-    attributed = 0
-    for site in sorted(by_site):
-        n = int(by_site[site])
-        metric.count_external(n, site=site)
-        attributed += n
-    metric.count_external(n_calls - attributed)
+__all__ = ["parallel_fit", "resolve_n_shards"]
 
 
 def resolve_n_shards(model: Any) -> int:
@@ -306,13 +284,13 @@ def parallel_fit(
         return task
 
     def absorb(result: ShardResult) -> None:
-        # Re-book the successful attempt's calls on the parent metric,
+        # Book the successful attempt's calls on the parent metric,
         # preserving the workers' site labels so the ledger's per-site
         # totals keep partitioning n_calls exactly. Booking re-checks the
         # global budget: a breach aborts the pool mid-build.
         span = "shard-resume" if result.resumed_at is not None else "shard-ingest"
         with tracer.span(span):
-            rebook_worker_calls(metric, result.by_site, result.n_calls)
+            metric.count_external(result.n_calls, by_site=result.by_site)
 
     def on_retry(task: ShardTask, failure: ShardFailure, delay: float) -> None:
         with tracer.span("shard-retry"):

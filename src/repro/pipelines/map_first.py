@@ -25,7 +25,7 @@ from repro.birch import BIRCH
 from repro.exceptions import ParameterError
 from repro.fastmap import FastMap
 from repro.hac import AgglomerativeClusterer
-from repro.metrics.base import DistanceFunction
+from repro.metrics.base import DistanceFunction, site
 from repro.metrics.vector import EuclideanDistance
 
 __all__ = ["MapFirstResult", "map_first_cluster"]
@@ -68,19 +68,22 @@ def map_first_cluster(
     start = time.perf_counter()
     calls_before = metric.n_calls
 
-    fastmap = FastMap(metric, image_dim, iterations=fm_iterations, seed=seed)
-    images = fastmap.fit(list(objects))
+    # Every distance call of the pipeline (FastMap on the metric, then the
+    # image-space BIRCH and global phase) is charged to one site.
+    with site("map-first"):
+        fastmap = FastMap(metric, image_dim, iterations=fm_iterations, seed=seed)
+        images = fastmap.fit(list(objects))
 
-    birch = BIRCH(
-        branching_factor=branching_factor, max_nodes=max_nodes, seed=seed
-    ).fit(list(images))
-    subclusters = birch.subclusters_
-    centroids = [np.asarray(s.clustroid) for s in subclusters]
-    weights = [s.n for s in subclusters]
+        birch = BIRCH(
+            branching_factor=branching_factor, max_nodes=max_nodes, seed=seed
+        ).fit(list(images))
+        subclusters = birch.subclusters_
+        centroids = [np.asarray(s.clustroid) for s in subclusters]
+        weights = [s.n for s in subclusters]
 
-    k = min(n_clusters, len(centroids))
-    hac = AgglomerativeClusterer(n_clusters=k, linkage=linkage)
-    hac.fit(objects=centroids, metric=EuclideanDistance(), weights=weights)
+        k = min(n_clusters, len(centroids))
+        hac = AgglomerativeClusterer(n_clusters=k, linkage=linkage)
+        hac.fit(objects=centroids, metric=EuclideanDistance(), weights=weights)
 
     centers = np.vstack(
         [

@@ -26,7 +26,7 @@ the CLI.
 from __future__ import annotations
 
 import time
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from typing import Any
 
@@ -236,17 +236,18 @@ class GuardedMetric(DistanceFunction):
             )
         self._check_deadline()
 
-    def count_external(self, n: int, site: str | None = None) -> None:
+    def count_external(self, n: int, by_site: Mapping[str, int] | None = None) -> None:
         """Absorb worker-side calls *against the budget*.
 
         A parallel build splits ``max_calls`` across shard workers and
-        re-books their spending here; checking the budget before absorbing
-        keeps the global cap authoritative even if a worker was handed a
-        stale or over-generous share.
+        re-books their spending here; checking the budget once for all
+        ``n``, before anything is booked, keeps the global cap
+        authoritative even if a worker was handed a stale or over-generous
+        share, and a breach leaves the ledger untouched.
         """
         if n > 0:
             self._check_budget(n)
-        super().count_external(n, site=site)
+        super().count_external(n, by_site=by_site)
 
     # ------------------------------------------------------------------
     # Fault bookkeeping

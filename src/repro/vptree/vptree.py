@@ -34,7 +34,7 @@ from repro.index.base import (
     QueryBoundCache,
     QuerySession,
 )
-from repro.metrics.base import DistanceFunction, pop_site, push_site
+from repro.metrics.base import DistanceFunction, site
 from repro.utils.rng import ensure_rng
 from repro.utils.validation import check_integer
 
@@ -91,11 +91,8 @@ class VPTree(MetricIndex):
             raise EmptyDatasetError("VPTree.build requires at least one object")
         self._objects = objects
         start_calls = self.metric.n_calls
-        push_site(QUERY_BUILD_SITE)
-        try:
+        with site(QUERY_BUILD_SITE):
             self._root = self._build(list(range(len(objects))))
-        finally:
-            pop_site()
         self._count_build(start_calls)
         return self
 

@@ -1,12 +1,12 @@
-"""Fixture: RPL102 — push_site/pop_site pairing across CFG paths.
+"""Fixture: RPL102 — attribution sites opened by hand outside metrics/base.py.
 
-``leaks_on_exception`` is the acceptance case: the pop is syntactically
-present and runs on the straight-line path, but a raise inside the
-distance call skips it — only a path-sensitive analysis can tell this
-apart from ``paired``.
+Every ``push_site``/``pop_site`` call below is a finding, however it is
+paired: ``leaks_on_exception`` even skips its pop when the distance call
+raises. ``paired`` and ``paired_conditional`` open their site with
+``with site(...)``, which closes it on every exit path, and are clean.
 """
 
-from repro.metrics.base import pop_site, push_site
+from repro.metrics.base import pop_site, push_site, site
 
 __all__ = [
     "leaks_on_exception",
@@ -30,20 +30,14 @@ def unmatched_pop(values):
 
 
 def paired(metric, obj, others):
-    # Negative: the finally runs on every path, normal or exceptional.
-    push_site("fixture")
-    try:
+    # Negative: the site closes on every path, normal or exceptional.
+    with site("fixture"):
         return metric.one_to_many(obj, others)
-    finally:
-        pop_site()
 
 
 def paired_conditional(metric, obj, others, attribute):
-    # Negative: both branches keep the stack balanced.
+    # Negative: a site opened on one branch only is still closed.
     if attribute:
-        push_site("fixture")
-        try:
+        with site("fixture"):
             return metric.one_to_many(obj, others)
-        finally:
-            pop_site()
     return metric.one_to_many(obj, others)

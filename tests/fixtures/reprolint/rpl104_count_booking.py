@@ -1,14 +1,15 @@
 """Fixture: RPL104 — external-count booking outside the accounting layer.
 
 This file's path is *not* allowlisted, so both bookings below are
-violations. The post-domination half of the rule is exercised by
-``tests/test_reprolint_flow.py`` with allowlisted paths.
+violations, with or without a per-site split.
 """
 
-__all__ = ["books_outside_accounting_layer"]
+__all__ = ["books_outside_accounting_layer", "books_residual_outside_accounting_layer"]
 
 
 def books_outside_accounting_layer(metric, shard):
-    for site, n in shard.by_site.items():
-        metric.count_external(n, site=site)
-    metric.count_external(shard.n_calls)
+    metric.count_external(shard.n_calls, by_site=shard.by_site)
+
+
+def books_residual_outside_accounting_layer(metric, n_calls):
+    metric.count_external(n_calls)

@@ -72,6 +72,38 @@ class TestCounting:
         np.testing.assert_allclose(np.diag(out), 0)
 
 
+def scalar_pairwise(metric, objects):
+    """The scalar double loop ``_pairwise`` used before it went through rows."""
+    n = len(objects)
+    out = np.zeros((n, n), dtype=np.float64)
+    for i in range(n):
+        for j in range(i + 1, n):
+            out[i, j] = out[j, i] = metric._distance(objects[i], objects[j])
+    return out
+
+
+class TestPairwiseRows:
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 17])
+    def test_edit_distance_bit_identical_to_scalar_loop(self, n):
+        from repro.metrics import EditDistance
+
+        rng = np.random.default_rng(n)
+        words = ["".join(rng.choice(list("abcdé"), size=rng.integers(0, 12))) for _ in range(n)]
+        m = EditDistance()
+        out = m.pairwise(words)
+        assert out.dtype == np.float64
+        assert np.array_equal(out, scalar_pairwise(EditDistance(), words))
+        assert m.n_calls == n * (n - 1) // 2
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 9])
+    def test_function_distance_bit_identical_to_scalar_loop(self, n):
+        points = list(np.random.default_rng(n).normal(size=n) * 1e3)
+        m = FunctionDistance(lambda a, b: abs(a - b) ** 0.5)
+        out = m.pairwise(points)
+        assert np.array_equal(out, scalar_pairwise(m, points))
+        assert m.n_calls == n * (n - 1) // 2
+
+
 class TestAbstract:
     def test_cannot_instantiate_base(self):
         with pytest.raises(TypeError):

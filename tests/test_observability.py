@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 from repro.core.preclusterer import BUBBLE, BUBBLEFM
 from repro.datasets import make_ds2
-from repro.exceptions import ParameterError
+from repro.exceptions import MetricBudgetExceededError, ParameterError
 from repro.metrics import EuclideanDistance
 from repro.metrics.base import (
     CallLedger,
@@ -32,6 +32,7 @@ from repro.metrics.base import (
     deactivate_ledger,
     pop_site,
     push_site,
+    site,
 )
 from repro.metrics.cache import CachedDistance
 from repro.observability import (
@@ -103,6 +104,21 @@ class TestConservation:
         model = BUBBLE(metric, max_nodes=20, seed=5, tracer=tracer)
         model.fit(_ds2_objects(n=300, seed=21))
         assert sum(tracer.calls_by_site.values()) == metric.n_calls
+
+    def test_map_first_attributes_every_call(self):
+        from repro.pipelines import map_first_cluster
+
+        tracer = Tracer()
+        with tracer:
+            result = map_first_cluster(
+                _ds2_objects(n=300, seed=23), EuclideanDistance(),
+                n_clusters=5, image_dim=2, max_nodes=20, seed=0,
+            )
+        by_site = tracer.calls_by_site
+        # Image-space BIRCH opens its own nested sites (``threshold``).
+        assert "unattributed" not in by_site
+        assert sum(by_site.values()) == tracer.total_calls
+        assert by_site["map-first"] >= result.n_distance_calls > 0
 
     def test_untraced_metrics_do_not_leak_into_ledger(self):
         tracer = Tracer()
@@ -193,7 +209,7 @@ class TestLedger:
         ledger = CallLedger()
         previous = activate_ledger(ledger)
         try:
-            pop_site()  # reprolint: disable=RPL102 -- exercises the empty-stack tolerance on purpose
+            pop_site()
             assert ledger.stack == []
         finally:
             deactivate_ledger(previous)
@@ -221,6 +237,111 @@ class TestLedger:
         tracer = Tracer()
         with pytest.raises(ParameterError):
             tracer._deactivate()
+
+    def test_activation_is_the_reentrant_tracer(self):
+        tracer = Tracer()
+        assert tracer.activation() is tracer
+        with tracer.activation():
+            with tracer:
+                assert active_ledger() is tracer.ledger
+            assert active_ledger() is tracer.ledger
+        assert active_ledger() is None
+
+
+class TestSite:
+    def test_noop_without_ledger(self):
+        metric = EuclideanDistance()
+        with site("anywhere") as opened:
+            metric.distance(np.zeros(2), np.ones(2))
+        assert opened.ledger is None
+        assert active_ledger() is None
+        assert metric.n_calls == 1
+
+    def test_pops_on_normal_and_exception_exit(self):
+        ledger = CallLedger()
+        previous = activate_ledger(ledger)
+        try:
+            with site("outer"):
+                with site("inner"):
+                    assert ledger.stack == ["outer", "inner"]
+                assert ledger.stack == ["outer"]
+            assert ledger.stack == []
+            with pytest.raises(RuntimeError):
+                with site("doomed"):
+                    raise RuntimeError("boom")
+            assert ledger.stack == []
+        finally:
+            deactivate_ledger(previous)
+
+    def test_closes_on_the_ledger_it_opened_on(self):
+        # A ledger activated inside the block is not popped on exit.
+        ledger = CallLedger()
+        with site("before-activation"):
+            previous = activate_ledger(ledger)
+            ledger.charge(1)
+        try:
+            assert ledger.by_site == {"unattributed": 1}
+            assert ledger.stack == []
+        finally:
+            deactivate_ledger(previous)
+
+    def test_nests_with_tracer_spans(self):
+        metric = EuclideanDistance()
+        a, b = np.zeros(2), np.ones(2)
+        tracer = Tracer()
+        with tracer:
+            with tracer.span("outer"):
+                metric.distance(a, b)
+                with site("inner"):
+                    metric.one_to_many(a, [b, b, b])
+                    with tracer.span("deep"):
+                        metric.distance(a, b)
+                metric.distance(a, b)
+        assert tracer.calls_by_site == {"outer": 2, "inner": 3, "deep": 1}
+        assert sum(tracer.calls_by_site.values()) == metric.n_calls
+        assert tracer.ledger.stack == []
+        assert tracer.span_aggregates()["outer"]["ncd"] == 6
+
+
+class TestCountExternal:
+    def test_books_each_site_then_the_residual(self):
+        metric = EuclideanDistance()
+        tracer = Tracer()
+        with tracer, tracer.span("shard-ingest"):
+            metric.count_external(12, by_site={"nonleaf-d2": 3, "leaf-d0": 7})
+            metric.count_external(4)
+        assert tracer.calls_by_site == {"leaf-d0": 7, "nonleaf-d2": 3, "shard-ingest": 6}
+        assert sum(tracer.calls_by_site.values()) == metric.n_calls == 16
+
+    def test_worker_unattributed_calls_join_the_residual(self):
+        metric = EuclideanDistance()
+        tracer = Tracer()
+        with tracer, tracer.span("shard-ingest"):
+            metric.count_external(9, by_site={"unattributed": 4, "leaf-d0": 5})
+        assert tracer.calls_by_site == {"leaf-d0": 5, "shard-ingest": 4}
+
+    def test_over_attribution_raises_with_nothing_booked(self):
+        metric = EuclideanDistance()
+        tracer = Tracer()
+        with tracer:
+            with pytest.raises(ValueError, match="attributes 9 calls"):
+                metric.count_external(8, by_site={"leaf-d0": 5, "split": 4})
+            with pytest.raises(ValueError):
+                metric.count_external(-1)
+        assert metric.n_calls == 0
+        assert tracer.calls_by_site == {}
+
+    def test_guarded_budget_breach_books_nothing(self):
+        from repro.robustness import GuardedMetric
+
+        metric = GuardedMetric(EuclideanDistance(), max_calls=10)
+        tracer = Tracer()
+        with tracer:
+            metric.count_external(6, by_site={"leaf-d0": 6})
+            with pytest.raises(MetricBudgetExceededError):
+                metric.count_external(5, by_site={"leaf-d0": 2, "split": 2})
+        assert metric.n_calls == 6
+        assert tracer.calls_by_site == {"leaf-d0": 6}
 
 
 class TestTracer:

@@ -1,8 +1,8 @@
 """Tests for the reprolint dataflow engine and the RPL1xx rule family.
 
 The acceptance contract pinned here: every RPL1xx rule fires on its
-fixture, RPL102 accepts all existing ledger call sites while rejecting a
-pop skipped on an exception path (path-sensitivity, not grep), the
+fixture, RPL102 accepts every module of the package while rejecting any
+hand-paired ``push_site``/``pop_site`` outside ``metrics/base.py``, the
 engine lints itself clean, and the tests/benchmarks profile baseline is
 zero.
 """
@@ -14,7 +14,6 @@ from pathlib import Path
 import pytest
 
 from repro.analysis import PROFILES, lint_file, lint_paths, lint_source, to_sarif
-from repro.analysis.cfg import build_cfg, iter_function_cfgs
 from repro.analysis.dataflow import OriginKind, build_scopes, resolve_expr
 from repro.analysis.symbols import ProjectSymbolTable
 
@@ -27,57 +26,20 @@ def codes(violations):
     return [v.code for v in violations]
 
 
+def function_lines(path, name):
+    """The 1-based line range ``(first, last)`` of function ``name``."""
+    import ast
+
+    fn = next(
+        node for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.FunctionDef) and node.name == name
+    )
+    return fn.lineno, fn.end_lineno
+
+
 # ----------------------------------------------------------------------
 # Analysis core
 # ----------------------------------------------------------------------
-class TestCFG:
-    def test_try_finally_covers_exception_paths(self):
-        import ast
-
-        tree = ast.parse(
-            "def f(m):\n"
-            "    before()\n"
-            "    try:\n"
-            "        return m.work()\n"
-            "    finally:\n"
-            "        after()\n"
-        )
-        fn = next(fc for fc in iter_function_cfgs(tree) if fc.name == "f")
-        # The finally suite is duplicated per continuation: its statement
-        # appears on both the return path and the exception path.
-        finally_nodes = [
-            n for n in fn.cfg.statement_nodes() if n.line == 6
-        ]
-        assert len(finally_nodes) >= 2
-
-    def test_postdominators_straight_line(self):
-        import ast
-
-        tree = ast.parse("a()\nb()\nc()\n")
-        cfg = build_cfg(tree.body)
-        postdom = cfg.postdominators()
-        nodes = {n.line: n.index for n in cfg.statement_nodes()}
-        # c() post-dominates a() and b(); b() does not post-dominate c().
-        assert nodes[3] in postdom[nodes[1]]
-        assert nodes[3] in postdom[nodes[2]]
-        assert nodes[2] not in postdom[nodes[3]]
-
-    def test_postdominators_branch(self):
-        import ast
-
-        tree = ast.parse(
-            "if cond():\n    a()\nelse:\n    b()\njoin()\n"
-        )
-        cfg = build_cfg(tree.body)
-        postdom = cfg.postdominators()
-        nodes = {n.line: n.index for n in cfg.statement_nodes()}
-        # The join post-dominates both branches; neither branch
-        # post-dominates the test.
-        assert nodes[5] in postdom[nodes[2]]
-        assert nodes[5] in postdom[nodes[4]]
-        assert nodes[2] not in postdom[nodes[1]]
-
-
 class TestDataflow:
     def _scope_and_tree(self, source):
         import ast
@@ -170,29 +132,33 @@ class TestRPL101:
 
 
 class TestRPL102:
-    def test_rejects_pop_skipped_on_exception_path(self):
-        """The acceptance case: path-sensitivity, not grep.
+    FIXTURE = FIXTURES / "rpl102_span_discipline.py"
 
-        ``leaks_on_exception`` pushes, calls, pops — the pop exists and
-        runs on the normal path, so any token-level matcher calls it
-        balanced. Only following the exception edge out of the distance
-        call proves the leak.
-        """
-        vs = lint_file(FIXTURES / "rpl102_span_discipline.py", select=["RPL102"])
-        leak = [v for v in vs if "leaks_on_exception" in v.message]
-        assert len(leak) == 1
-        assert "exception path" in leak[0].message
+    def _findings_in(self, name):
+        first, last = function_lines(self.FIXTURE, name)
+        vs = lint_file(self.FIXTURE, select=["RPL102"])
+        return [v for v in vs if first <= v.line <= last]
+
+    def test_rejects_pop_skipped_on_exception_path(self):
+        """A hand-paired site is a finding even though its pop runs on the
+        straight-line path: only ``with site(...)`` is accepted."""
+        leak = self._findings_in("leaks_on_exception")
+        assert codes(leak) == ["RPL102"] * 2
+        assert "push_site()" in leak[0].message
+        assert "with site(label):" in leak[0].message
 
     def test_unmatched_pop_flagged(self):
-        vs = lint_file(FIXTURES / "rpl102_span_discipline.py", select=["RPL102"])
-        pops = [v for v in vs if "unmatched_pop" in v.message]
+        pops = self._findings_in("unmatched_pop")
         assert len(pops) == 1
+        assert "pop_site()" in pops[0].message
 
     def test_paired_forms_accepted(self):
-        vs = lint_file(FIXTURES / "rpl102_span_discipline.py", select=["RPL102"])
-        assert all(
-            "paired" not in v.message for v in vs
-        ), [v.message for v in vs]
+        assert self._findings_in("paired") == []
+        assert self._findings_in("paired_conditional") == []
+
+    def test_site_module_exempt(self):
+        src = (FIXTURES / "rpl102_span_discipline.py").read_text()
+        assert lint_source(src, "src/repro/metrics/base.py", select=["RPL102"]) == []
 
     @pytest.mark.parametrize(
         "module",
@@ -244,30 +210,26 @@ class TestRPL104:
         assert codes(vs) == ["RPL104"] * 2
         assert all("accounting layer" in v.message for v in vs)
 
-    def test_conditional_residual_flagged_in_allowlisted_module(self):
-        src = (
-            "def absorb(metric, result):\n"
-            "    attributed = 0\n"
-            "    for site, n in result.by_site.items():\n"
-            "        metric.count_external(n, site=site)\n"
-            "        attributed += n\n"
-            "    if result.n_calls > attributed:\n"
-            "        metric.count_external(result.n_calls - attributed)\n"
-        )
-        vs = lint_source(src, "src/repro/parallel/build.py", select=["RPL104"])
-        assert codes(vs) == ["RPL104"]
-        assert "post-dominated" in vs[0].message
-
     def test_unconditional_residual_clean(self):
         src = (
             "def absorb(metric, result):\n"
-            "    attributed = 0\n"
-            "    for site, n in result.by_site.items():\n"
-            "        metric.count_external(n, site=site)\n"
-            "        attributed += n\n"
-            "    metric.count_external(result.n_calls - attributed)\n"
+            "    metric.count_external(result.n_calls, by_site=result.by_site)\n"
         )
         assert lint_source(src, "src/repro/parallel/build.py", select=["RPL104"]) == []
+        assert lint_source(src, "src/repro/clarans/clara.py", select=["RPL104"]) == []
+
+    def test_partial_attribution_impossible_by_construction(self):
+        """The residual is booked inside ``count_external``, so a per-site
+        split can no longer be booked without it."""
+        from repro.metrics import EuclideanDistance
+        from repro.observability import Tracer
+
+        metric = EuclideanDistance()
+        tracer = Tracer()
+        with tracer, tracer.span("absorb"):
+            metric.count_external(10, by_site={"leaf-d0": 4, "split": 1})
+        assert tracer.calls_by_site == {"leaf-d0": 4, "split": 1, "absorb": 5}
+        assert sum(tracer.calls_by_site.values()) == metric.n_calls == 10
 
 
 class TestRPL105:
@@ -320,7 +282,7 @@ class TestRPL000:
 class TestProfiles:
     def test_profiles_catalogue(self):
         assert PROFILES["src"] is None
-        assert set(PROFILES["tests"]) == {"RPL000", "RPL101", "RPL102"}
+        assert set(PROFILES["tests"]) == {"RPL000", "RPL101"}
 
     def test_tests_profile_drops_style_rules(self):
         # No __all__, nested distance loops: clean under the tests profile,
