@@ -50,7 +50,6 @@ from repro.utils import peak_rss_kb
 
 __all__ = [
     "run_harness",
-    "run_pruning_benchmark",
     "run_parallel_benchmark",
     "run_clara_benchmark",
     "run_memory_benchmark",
@@ -59,7 +58,6 @@ __all__ = [
 ]
 
 DEFAULT_OUTPUT = Path(__file__).parent / "BENCH_birchstar.json"
-PRUNING_OUTPUT = Path(__file__).parent / "BENCH_pruning.json"
 PARALLEL_OUTPUT = Path(__file__).parent / "BENCH_parallel.json"
 CLARA_OUTPUT = Path(__file__).parent / "BENCH_clara.json"
 MEMORY_OUTPUT = Path(__file__).parent / "BENCH_memory.json"
@@ -161,7 +159,7 @@ def run_harness(
     return doc
 
 
-def _pruning_workloads(scale: str) -> list[dict[str, Any]]:
+def _cell_workloads(scale: str) -> list[dict[str, Any]]:
     """Figure 4–6 style cell-grid workloads at the requested scale."""
     cfg = resolve_scale(scale)
     return [
@@ -172,99 +170,6 @@ def _pruning_workloads(scale: str) -> list[dict[str, Any]]:
         {"name": "fig6_cells", "dim": 20, "n_clusters": max(cfg.sweep_clusters),
          "n_points": cfg.fig6_points, "seed": 70},
     ]
-
-
-def _pruning_scan(
-    algorithm: str, objs: Any, max_nodes: int, prune: bool
-) -> dict[str, Any]:
-    """One traced scan; returns NCD totals, per-site NCD, and pruning stats."""
-    metric = EuclideanDistance()
-    tracer = Tracer()
-    with tracer:
-        if algorithm == "bubble":
-            model = BUBBLE(
-                metric, max_nodes=max_nodes, seed=0, tracer=tracer,
-                prune=prune, **_TREE_PARAMS,
-            )
-        else:
-            model = BUBBLEFM(
-                metric, max_nodes=max_nodes, image_dim=20, seed=0, tracer=tracer,
-                prune=prune, **_TREE_PARAMS,
-            )
-        model.fit(objs)
-    tracer.close()
-    summary = tracer.summary()
-    return {
-        "ncd_total": summary["ncd_total"],
-        "ncd_by_site": summary["ncd_by_site"],
-        "n_subclusters": model.n_subclusters_,
-        "pruning": model.tree_.policy.pruning_stats.as_dict(),
-        "peak_rss_kb": peak_rss_kb(),
-    }
-
-
-def run_pruning_benchmark(
-    scale: str = "smoke",
-    output: str | Path = PRUNING_OUTPUT,
-    verbose: bool = True,
-) -> dict[str, Any]:
-    """Exhaustive-vs-pruned NCD comparison; writes ``BENCH_pruning.json``.
-
-    Each Figure 4–6 workload is scanned twice per algorithm — once with the
-    pruned routing engine disabled, once enabled — with everything else
-    (data, seeds, tree parameters) identical. Because pruning is exact, the
-    two scans build the same tree; only NCD changes. The committed file is
-    the regression baseline the NCD gate test compares against.
-
-    ``pruning.maintenance_evals`` in each record counts the raw
-    (NCD-neutral) evaluations spent maintaining pivot geometry — reported
-    so the accounting policy stays honest.
-    """
-    records = []
-    for workload in _pruning_workloads(scale):
-        ds = make_cell_dataset(
-            dim=workload["dim"], n_clusters=workload["n_clusters"],
-            n_points=workload["n_points"], seed=workload["seed"],
-        )
-        objs = list(ds.points)
-        max_nodes = paper_max_nodes(workload["n_clusters"])
-        for algorithm in ("bubble", "bubble-fm"):
-            if verbose:
-                print(f"[harness] pruning benchmark: {workload['name']} / "
-                      f"{algorithm} at scale {scale!r} ...", flush=True)
-            exhaustive = _pruning_scan(algorithm, objs, max_nodes, prune=False)
-            pruned = _pruning_scan(algorithm, objs, max_nodes, prune=True)
-            site_reduction = {}
-            for site, before in exhaustive["ncd_by_site"].items():
-                after = pruned["ncd_by_site"].get(site, 0)
-                site_reduction[site] = round(1.0 - after / before, 4) if before else 0.0
-            total_before = exhaustive["ncd_total"]
-            record = {
-                "workload": workload,
-                "algorithm": algorithm,
-                "max_nodes": max_nodes,
-                "exhaustive": exhaustive,
-                "pruned": pruned,
-                "ncd_reduction_total": (
-                    round(1.0 - pruned["ncd_total"] / total_before, 4)
-                    if total_before else 0.0
-                ),
-                "ncd_reduction_by_site": site_reduction,
-            }
-            records.append(record)
-            if verbose:
-                print(f"[harness]   NCD {total_before} -> {pruned['ncd_total']} "
-                      f"({record['ncd_reduction_total']:.1%} saved)")
-    doc = {
-        "format": "repro-bench-pruning-v1",
-        "scale": scale,
-        "records": records,
-    }
-    output = Path(output)
-    output.write_text(json.dumps(doc, indent=2, sort_keys=False) + "\n", encoding="utf-8")
-    if verbose:
-        print(f"[harness] wrote {output}")
-    return doc
 
 
 def _tree_fingerprint(tree: Any) -> str:
@@ -427,7 +332,7 @@ def _clara_workloads(scale: str) -> list[dict[str, Any]]:
 
     The sampled global phase only pays off when the scan leaves *many*
     leaf clustroids (its per-swap cost is O(sample) instead of O(N_sub));
-    the paper-style tiny budgets of the pruning benchmark consolidate to
+    the paper-style tiny budgets of the memory benchmark consolidate to
     ~k clustroids, where every "subsample" is the whole set. The budgets
     here are tuned to land each smoke-scale scan in the several-hundred
     clustroid regime the sampled phase targets.
@@ -689,10 +594,8 @@ def run_memory_benchmark(
 ) -> dict[str, Any]:
     """Slab-arena memory + RowSum drift evidence; writes ``BENCH_memory.json``.
 
-    Each Figure 4–6 workload is scanned once per algorithm with the same
-    seeds and tree parameters as the pruning benchmark (so ``ncd_total``
-    cross-checks against the pruned legs of ``BENCH_pruning.json``), and
-    the record keeps the slab arena's memory accounting — bytes per leaf
+    Each Figure 4–6 workload is scanned once per algorithm, and the
+    record keeps the slab arena's memory accounting — bytes per leaf
     in the contiguous layout vs the legacy two-lists-of-boxed-floats
     layout it replaced — plus audit cleanliness, the NCD conservation
     check, and ``peak_rss_kb``. A separate long-stream drift cell measures
@@ -700,7 +603,7 @@ def run_memory_benchmark(
     The committed file is the baseline ``test_memory_gate.py`` enforces.
     """
     records = []
-    for workload in _pruning_workloads(scale):
+    for workload in _cell_workloads(scale):
         ds = make_cell_dataset(
             dim=workload["dim"], n_clusters=workload["n_clusters"],
             n_points=workload["n_points"], seed=workload["seed"],
@@ -759,7 +662,7 @@ QUERY_COUNT = 25
 
 
 def _query_vector_workloads(scale: str) -> list[dict[str, Any]]:
-    return _pruning_workloads(scale)
+    return _cell_workloads(scale)
 
 
 def _query_string_workload(scale: str) -> dict[str, Any]:
@@ -936,12 +839,6 @@ def main(argv: list[str] | None = None) -> int:
         help=f"subset of experiments to run (choices: {', '.join(EXPERIMENTS)})",
     )
     parser.add_argument(
-        "--pruning", action="store_true",
-        help="run the exhaustive-vs-pruned NCD comparison instead "
-             "(writes BENCH_pruning.json)",
-    )
-    parser.add_argument("--pruning-output", default=str(PRUNING_OUTPUT))
-    parser.add_argument(
         "--parallel", action="store_true",
         help="run the sequential-vs-sharded build comparison instead "
              "(writes BENCH_parallel.json)",
@@ -974,9 +871,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("--query-output", default=str(QUERY_OUTPUT))
     args = parser.parse_args(argv)
-    if args.pruning:
-        run_pruning_benchmark(scale=args.scale, output=args.pruning_output)
-    elif args.parallel:
+    if args.parallel:
         run_parallel_benchmark(
             scale=args.scale, output=args.parallel_output, n_jobs=args.jobs
         )

@@ -10,8 +10,7 @@ asserts the refactor's contract:
   bound the pre-slab scalar ``+=`` accumulation measurably violates —
   strictly better, not merely no worse;
 * the storage change is NCD-neutral: totals match the committed memory
-  baseline within tolerance and cross-check against the pruned legs of
-  ``BENCH_pruning.json``, and the per-site ledger still satisfies the
+  baseline within tolerance, and the per-site ledger still satisfies the
   conservation law exactly;
 * every slab-backed tree audits clean.
 """
@@ -23,11 +22,7 @@ from pathlib import Path
 
 import pytest
 
-from benchmarks.harness import (
-    MEMORY_OUTPUT,
-    PRUNING_OUTPUT,
-    run_memory_benchmark,
-)
+from benchmarks.harness import MEMORY_OUTPUT, run_memory_benchmark
 
 #: Relative tolerance vs the committed baselines' NCD totals.
 TOLERANCE = 0.02
@@ -105,25 +100,6 @@ def test_within_tolerance_of_committed_baseline(memory_doc, baseline_doc):
     assert got_drift["compensated_rel_err"] <= max(
         want_drift["compensated_rel_err"], DRIFT_BOUND
     ), "drift regressed vs committed baseline"
-
-
-def test_ncd_cross_checks_against_pruning_baseline(memory_doc):
-    """The storage refactor must be NCD-neutral: the same workloads under
-    the same seeds and tree parameters spend the same distance calls as
-    the pruned legs of the committed pruning baseline."""
-    if not PRUNING_OUTPUT.exists():
-        pytest.skip("no committed BENCH_pruning.json baseline")
-    pruning = json.loads(Path(PRUNING_OUTPUT).read_text(encoding="utf-8"))
-    pruned = {
-        (r["workload"]["name"], r["algorithm"]): r["pruned"]["ncd_total"]
-        for r in pruning["records"]
-    }
-    for record in memory_doc["records"]:
-        key = (record["workload"]["name"], record["algorithm"])
-        assert key in pruned, f"workload {key} missing from pruning baseline"
-        assert record["ncd_total"] == pytest.approx(
-            pruned[key], rel=TOLERANCE
-        ), f"{key}: memory-bench NCD diverged from the pruning baseline"
 
 
 def test_rss_recorded(memory_doc):

@@ -5,10 +5,8 @@ Each rule encodes one invariant of the reproduction (rationale in
 
 RPL001
     No raw ``metric._distance`` / ``_one_to_many`` / ``_pairwise`` /
-    ``_cross`` calls outside the allowlisted modules (``metrics/base.py``,
-    where the counted wrappers live, and ``core/routing.py``, whose
-    cached-geometry maintenance is NCD-neutral by design and tracked
-    separately in ``PruningStats``). The public wrappers are the *only*
+    ``_cross`` calls outside ``metrics/base.py``, where the counted
+    wrappers live. The public wrappers are the *only*
     counted path — a raw hook call bypasses NCD accounting (the paper's
     headline cost metric, Section 6) and every GuardedMetric policy.
     Calls on bare ``self`` are allowed: that is an implementation hook
@@ -52,9 +50,8 @@ _SCALAR_DISTANCE_CALLS = frozenset({"distance", "distance_to", "leaf_entry_dista
 _BATCH_DISTANCE_CALLS = frozenset({"one_to_many", "pairwise", "cross"})
 
 #: Modules whose raw-hook reads are sanctioned: the counted wrappers
-#: themselves, and the pruned routing engine's NCD-neutral geometry
-#: maintenance (accounted for separately via ``PruningStats``).
-_RAW_HOOK_ALLOWLIST = ("metrics/base.py", "core/routing.py")
+#: themselves. Any other raw read needs a per-line suppression with a reason.
+_RAW_HOOK_ALLOWLIST = ("metrics/base.py",)
 
 #: numpy.random constructors that are deterministic *given arguments*.
 _SEEDED_CTORS = frozenset({"default_rng", "RandomState"})
@@ -456,7 +453,7 @@ META_RULE = Rule(
 BASE_RULES: tuple[Rule, ...] = (
     Rule(
         code="RPL001",
-        summary="no raw metric hook calls outside metrics/base.py and core/routing.py",
+        summary="no raw metric hook calls outside metrics/base.py",
         rationale="raw hook calls bypass NCD accounting and GuardedMetric policies",
         checker=_check_raw_hooks,
     ),

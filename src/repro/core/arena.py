@@ -15,7 +15,7 @@ was a scalar ``+=`` in a Python loop.
   slot is ``rowsums + compensations``, see :mod:`repro.utils.numerics`);
 * ``reps``          — ``(capacity, width)`` object, the representative
   member objects themselves (identity-preserving: indexing hands back the
-  exact Python object, which :class:`~repro.core.routing.LeafGeometry`
+  exact Python object, which :class:`~repro.index.cftree.LeafGeometry`
   relies on for its ``id()``-keyed caches);
 * ``counts``        — ``(capacity,)`` int32, how many leading slots of each
   row are live.

@@ -28,11 +28,6 @@ from repro.core.features import (
 )
 from repro.core.nodes import LeafNode, NonLeafNode
 from repro.core.policy import BirchStarPolicy
-from repro.core.routing import (
-    PruningStats,
-    pruned_leaf_distances,
-    pruned_segment_distances,
-)
 from repro.exceptions import ParameterError, TreeInvariantError
 from repro.metrics.base import DistanceFunction, site
 from repro.utils.rng import ensure_rng
@@ -41,24 +36,16 @@ from repro.utils.validation import check_integer
 
 __all__ = ["BubblePolicy"]
 
-#: Below this many leaf entries, pruning cannot beat the exhaustive gather
-#: (pivot + seed measurements already cover most of the node).
-_MIN_PRUNE_LEAF_ENTRIES = 4
-
 
 class _SampleCache:
     """Node-level cache: the concatenation of all entry samples plus the
-    segment boundaries, so one batched ``one_to_many`` serves a whole node.
+    segment boundaries, so one batched ``one_to_many`` serves a whole node."""
 
-    ``geometry`` is lazily-built pivot geometry for the pruned routing
-    engine (:mod:`repro.core.routing`); ``None`` is always legal."""
-
-    __slots__ = ("flat", "offsets", "geometry")
+    __slots__ = ("flat", "offsets")
 
     def __init__(self, flat: list, offsets: np.ndarray):
         self.flat = flat
         self.offsets = offsets
-        self.geometry = None
 
 
 class BubblePolicy(BirchStarPolicy):
@@ -76,11 +63,6 @@ class BubblePolicy(BirchStarPolicy):
         75 = 5 * branching factor).
     seed:
         Seed/generator driving sample selection.
-    prune:
-        Route through the exact triangle-inequality pruned engine
-        (:mod:`repro.core.routing`). Routing decisions are bit-identical to
-        the exhaustive scan either way; pruning only reduces NCD. On by
-        default.
     """
 
     def __init__(
@@ -89,7 +71,6 @@ class BubblePolicy(BirchStarPolicy):
         representation_number: int = 10,
         sample_size: int = 75,
         seed: int | np.random.Generator | None = None,
-        prune: bool = True,
     ):
         if not isinstance(metric, DistanceFunction):
             raise ParameterError("metric must be a DistanceFunction")
@@ -99,10 +80,6 @@ class BubblePolicy(BirchStarPolicy):
         )
         self.sample_size = check_integer(sample_size, "sample_size", minimum=1)
         self._rng = ensure_rng(seed)
-        self.prune = bool(prune)
-        #: Counters for the pruned routing engine (always present; all zero
-        #: when ``prune`` is off or no node met the pruning gates).
-        self.pruning_stats = PruningStats()
         #: Per-tree slab arena backing every leaf CF* this policy creates
         #: (RowSums + Neumaier compensations + representative handles in
         #: contiguous ndarrays; see :mod:`repro.core.arena`).
@@ -135,8 +112,6 @@ class BubblePolicy(BirchStarPolicy):
             old_arena.release(old_row)
 
     def leaf_distances(self, node: LeafNode, obj: Any) -> np.ndarray:
-        if self.prune and len(node.entries) >= _MIN_PRUNE_LEAF_ENTRIES:
-            return pruned_leaf_distances(self.metric, node, obj, self.pruning_stats)
         clustroids = [feature.clustroid for feature in node.entries]
         with site("leaf-d0"):
             return self.metric.one_to_many(obj, clustroids)
@@ -152,10 +127,6 @@ class BubblePolicy(BirchStarPolicy):
     # ------------------------------------------------------------------
     def nonleaf_distances(self, node: NonLeafNode, obj: Any) -> np.ndarray:
         cache = self._node_cache(node)
-        if self._prunable_cache(node, cache) is not None:
-            return pruned_segment_distances(
-                self.metric, cache, len(node.entries), obj, self.pruning_stats
-            )
         with site("nonleaf-d2"):
             dists = self.metric.one_to_many(obj, cache.flat)
         sq = dists**2
@@ -165,45 +136,6 @@ class BubblePolicy(BirchStarPolicy):
             seg = sq[offsets[i] : offsets[i + 1]]
             out[i] = np.sqrt(seg.mean())
         return out
-
-    def _prunable_cache(self, node: NonLeafNode, cache: _SampleCache) -> _SampleCache | None:
-        """The node's sample cache if pruned D2 routing applies, else None.
-
-        Pruning needs at least two entries (something to prune) and two
-        samples (a pivot plus something it can bound), and must stand aside
-        when the node routes through an image space (BUBBLE-FM's mapper)."""
-        if not self.prune or len(node.entries) < 2 or len(cache.flat) < 2:
-            return None
-        if getattr(cache, "mapper", None) is not None:
-            return None
-        return cache
-
-    def begin_insert_block(self, node: NonLeafNode, objs: Any) -> np.ndarray | None:
-        """Batched pivot gather for a block of objects about to descend
-        through ``node``: one counted ``one_to_many`` computes every
-        object's ``d(obj, pivot)`` hint up front, reusing the row the
-        per-object pruned path would otherwise measure one at a time."""
-        cache = self._node_cache(node)
-        if self._prunable_cache(node, cache) is None:
-            return None
-        with site("nonleaf-d2"):
-            hints = self.metric.one_to_many(cache.flat[0], objs)
-        self.pruning_stats.block_gathers += 1
-        self.pruning_stats.block_hints += len(objs)
-        return hints
-
-    def nonleaf_distances_hinted(
-        self, node: NonLeafNode, obj: Any, hint: float | None
-    ) -> np.ndarray:
-        if hint is None:
-            return self.nonleaf_distances(node, obj)
-        cache = self._node_cache(node)
-        return pruned_segment_distances(
-            self.metric, cache, len(node.entries), obj, self.pruning_stats, d_pivot=hint
-        )
-
-    def end_insert_block(self, n_unused: int) -> None:
-        self.pruning_stats.block_hints_wasted += n_unused
 
     def nonleaf_entry_distances(self, node: NonLeafNode) -> np.ndarray:
         entries = node.entries

@@ -78,11 +78,6 @@ class BubbleFMPolicy(BubblePolicy):
         ``"fastmap"`` (the paper's choice; 2k calls per routed object) or
         ``"landmark"`` (Landmark MDS; ~2k+2 calls per routed object, one
         joint eigendecomposition instead of sequential residual axes).
-    prune:
-        As in :class:`~repro.core.bubble.BubblePolicy`; applies to the leaf
-        level and to non-leaf nodes in distance-space fallback (too few
-        samples for an image space). Image-space routing already costs only
-        ``2k`` calls and is left untouched.
     """
 
     _MAPPERS = ("fastmap", "landmark")
@@ -96,9 +91,8 @@ class BubbleFMPolicy(BubblePolicy):
         fm_iterations: int = 1,
         mapper: str = "fastmap",
         seed: Any=None,
-        prune: bool = True,
     ):
-        super().__init__(metric, representation_number, sample_size, seed, prune=prune)
+        super().__init__(metric, representation_number, sample_size, seed)
         self.image_dim = check_integer(image_dim, "image_dim", minimum=1)
         self.fm_iterations = check_integer(fm_iterations, "fm_iterations", minimum=1)
         if mapper not in self._MAPPERS:

@@ -21,8 +21,8 @@ __all__ = ["LeafNode", "NonLeafNode", "NonLeafEntry"]
 class LeafNode:
     """A leaf node: a list of leaf-level cluster features.
 
-    ``aux`` is policy-owned acceleration state (the pruned routing engine
-    caches pivot geometry there); the framework never inspects it, and a
+    ``aux`` is a cache slot (the ``cftree`` index keeps the leaf's
+    clustroid geometry there); the framework never inspects it, and a
     ``None`` value is always legal — caches are rebuilt lazily.
     """
 

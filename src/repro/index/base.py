@@ -1,9 +1,9 @@
 """The unified metric-index protocol: one query surface over every engine.
 
-The repository grew three overlapping triangle-inequality engines — the
-M-tree (:mod:`repro.mtree`), the VP-tree (:mod:`repro.vptree`), and the
-AESA-style geometry caches routing the CF*-tree (:mod:`repro.core.routing`).
-This module consolidates them behind one :class:`MetricIndex` protocol:
+Three triangle-inequality engines — the M-tree (:mod:`repro.mtree`), the
+VP-tree (:mod:`repro.vptree`), and the anchor hierarchy over a fitted
+CF*-tree (:mod:`repro.index.cftree`) — share one :class:`MetricIndex`
+protocol:
 
 * ``build(objects)`` indexes a sequence of objects (position = index);
 * ``nearest(obj, k)`` and ``within(obj, r)`` answer exact queries with a

@@ -1,10 +1,10 @@
 """``cftree`` backend: query the clustroid hierarchy of a built CF*-tree.
 
-An already-fitted BUBBLE/BUBBLE-FM tree is itself a metric index: every
-leaf keeps a :class:`~repro.core.routing.LeafGeometry` pairwise matrix
-``d(clustroid_i, clustroid_j)`` that the pruned routing engine paid for
-during the build. This backend turns those cached build-time distances
-into query-time bounds (the Cascading-Metric-Tree recipe over the Anchors
+An already-fitted BUBBLE/BUBBLE-FM tree is itself a metric index. At
+adoption every leaf gets a :class:`LeafGeometry` pairwise matrix
+``d(clustroid_i, clustroid_j)``, kept on the leaf and refreshed row by row
+on later adoptions, and this backend turns those cached distances into
+query-time bounds (the Cascading-Metric-Tree recipe over the Anchors
 Hierarchy idea of cached sufficient statistics):
 
 * each leaf becomes an *anchor ball* centred on its first clustroid with
@@ -39,7 +39,6 @@ from typing import Any
 
 import numpy as np
 
-from repro.core.routing import PruningStats, ensure_leaf_geometry
 from repro.exceptions import EmptyDatasetError, NotFittedError, StaleIndexError
 from repro.index.base import (
     QUERY_BUILD_SITE,
@@ -51,6 +50,25 @@ from repro.index.base import (
 from repro.metrics.base import DistanceFunction, site
 
 __all__ = ["CFTreeIndex"]
+
+
+class LeafGeometry:
+    """Cached clustroid geometry of one leaf node.
+
+    ``pair[i, j]`` caches ``d(clustroid_i, clustroid_j)`` and
+    ``clustroids[i]`` remembers *which* object row ``i`` was measured
+    against, so clustroid drift (an absorb that moved the clustroid) is
+    detected by identity and only the stale rows are re-measured; rows of
+    surviving clustroids are carried over across entry insertions and
+    removals. Identity survives pickling because the features and the
+    geometry travel in one pickle graph.
+    """
+
+    __slots__ = ("clustroids", "pair")
+
+    def __init__(self) -> None:
+        self.clustroids: list[Any] = []
+        self.pair: np.ndarray = np.zeros((0, 0), dtype=np.float64)
 
 
 class _AnchorNode:
@@ -98,10 +116,11 @@ class CFTreeIndex(MetricIndex):
         self._root: _AnchorNode | None = None
         self._tree: Any = None
         self._fingerprint: tuple[int, int, int, int] | None = None
-        #: Geometry-maintenance counters of the index build (NCD-neutral
-        #: work re-measuring stale leaf rows; zero when the tree was built
-        #: with pruning enabled and its caches are fresh).
-        self.build_stats = PruningStats()
+        #: Raw (uncounted) evaluations spent building or refreshing leaf
+        #: geometry, and the number of leaves whose geometry was built from
+        #: scratch, over every adoption of this index.
+        self.maintenance_evals = 0
+        self.geometry_builds = 0
 
     # ------------------------------------------------------------------
     # Construction
@@ -162,15 +181,55 @@ class CFTreeIndex(MetricIndex):
         self._count_build(start_calls)
         self._tree = tree
         self._fingerprint = self._tree_fingerprint(tree)
-        self.stats.extras["maintenance_evals"] = self.build_stats.maintenance_evals
-        self.stats.extras["geometry_builds"] = self.build_stats.geometry_builds
+        self.stats.extras["maintenance_evals"] = self.maintenance_evals
+        self.stats.extras["geometry_builds"] = self.geometry_builds
+
+    def _leaf_geometry(self, node: Any) -> tuple[LeafGeometry, list[Any]]:
+        """Return ``node``'s leaf geometry, refreshing any stale rows.
+
+        Rows whose clustroid object is unchanged (by identity) are carried
+        over; every other row is re-measured through the raw hooks.
+        """
+        clustroids = [feature.clustroid for feature in node.entries]
+        n = len(clustroids)
+        geom = node.aux
+        if not isinstance(geom, LeafGeometry):
+            geom = LeafGeometry()
+            node.aux = geom
+            self.geometry_builds += 1
+        old = geom.clustroids
+        if len(old) == n and all(old[i] is clustroids[i] for i in range(n)):
+            return geom, clustroids
+        old_pos = {id(c): j for j, c in enumerate(old)}
+        pair = np.zeros((n, n), dtype=np.float64)
+        kept_new, kept_old, stale = [], [], []
+        for i, clustroid in enumerate(clustroids):
+            j = old_pos.get(id(clustroid))
+            if j is None:
+                stale.append(i)
+            else:
+                kept_new.append(i)
+                kept_old.append(j)
+        if kept_new:
+            pair[np.ix_(kept_new, kept_new)] = geom.pair[np.ix_(kept_old, kept_old)]
+        if stale:
+            # One cross gather covers every stale row at once.
+            block = np.asarray(
+                self.metric._cross([clustroids[i] for i in stale], clustroids),  # reprolint: disable=RPL001 -- leaf geometry is uncounted maintenance, reported as stats.extras["maintenance_evals"]
+                dtype=np.float64,
+            )
+            self.maintenance_evals += len(stale) * n
+            for k, i in enumerate(stale):
+                pair[i, :] = block[k]
+                pair[:, i] = block[k]
+        geom.clustroids = clustroids
+        geom.pair = pair
+        return geom, clustroids
 
     def _wrap(self, node: Any) -> _AnchorNode:
         out = _AnchorNode()
         if node.is_leaf:
-            geom, clustroids = ensure_leaf_geometry(
-                self.metric, node, self.build_stats
-            )
+            geom, clustroids = self._leaf_geometry(node)
             out.offset = len(self._objects)
             self._objects.extend(clustroids)
             out.size = len(clustroids)

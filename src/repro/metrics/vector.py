@@ -109,8 +109,8 @@ class MinkowskiDistance(DistanceFunction):
                 f"dimension mismatch: {mat_a.shape[1]} vs {mat_b.shape[1]} coordinates"
             )
         # Row-by-row |a_i - B| keeps each row bit-identical to the
-        # corresponding `_one_to_many(a_i, objects_b)` result, which the
-        # pruned-routing equivalence guarantee relies on.
+        # corresponding `_one_to_many(a_i, objects_b)` result, so a cross
+        # gather and per-row gathers agree exactly.
         diff = np.abs(mat_a[:, None, :] - mat_b[None, :, :])
         if self.p == 2.0:
             return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
@@ -154,8 +154,8 @@ class AngularDistance(DistanceFunction):
     """The angle between two vectors, ``arccos(cos_sim) / pi`` in [0, 1].
 
     Unlike raw cosine *dissimilarity* (``1 - cos``), the angle satisfies the
-    triangle inequality, so BUBBLE's pruning and threshold logic remain
-    sound. Useful for direction-only data (text embeddings, spectra). Zero
+    triangle inequality, so index pruning and BUBBLE's threshold logic
+    remain sound. Useful for direction-only data (text embeddings, spectra). Zero
     vectors are not measurable.
     """
 

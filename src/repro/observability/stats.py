@@ -67,9 +67,6 @@ class StatsSnapshot:
     #: (:meth:`~repro.index.IndexQueryStats.as_dict` plus the bound-cache
     #: record; ``None`` until :meth:`apply_index` runs).
     query: dict[str, Any] | None = None
-    #: Pruned-routing counters (:class:`repro.core.routing.PruningStats`
-    #: as a dict; ``None`` when the policy has no pruning engine).
-    pruning: dict[str, int] | None = None
     #: CF* slab-arena occupancy and memory accounting
     #: (:meth:`repro.core.arena.FeatureArena.snapshot`; ``None`` when the
     #: policy keeps no slab arena).
@@ -129,9 +126,6 @@ class StatsSnapshot:
                 snapshot.cache = cache.counters()
         if tracer is not None and getattr(tracer, "enabled", False):
             snapshot.ncd_by_site = dict(tracer.calls_by_site)
-        pruning_stats = getattr(getattr(tree, "policy", None), "pruning_stats", None)
-        if pruning_stats is not None:
-            snapshot.pruning = pruning_stats.as_dict()
         arena = getattr(getattr(tree, "policy", None), "arena", None)
         if arena is not None and hasattr(arena, "snapshot"):
             snapshot.slab = arena.snapshot()
@@ -198,7 +192,6 @@ class StatsSnapshot:
             "cache_misses": self.cache_misses,
             "cache": dict(self.cache) if self.cache is not None else None,
             "query": dict(self.query) if self.query is not None else None,
-            "pruning": dict(self.pruning) if self.pruning is not None else None,
             "slab": dict(self.slab) if self.slab is not None else None,
             "shards_retried": self.shards_retried,
             "workers_crashed": self.workers_crashed,
@@ -270,14 +263,6 @@ class StatsSnapshot:
                     f"{bc.get('hits', 0)} hits / {bc.get('misses', 0)} misses "
                     f"(hit rate {float(bc.get('hit_rate', 0.0)):.1%})",
                 )
-            )
-        if self.pruning is not None and self.pruning.get("queries"):
-            total = self.pruning.get("candidates_total", 0)
-            pruned = self.pruning.get("candidates_pruned", 0)
-            share = pruned / total if total else 0.0
-            rows.append(("pruned candidates", f"{pruned}/{total} ({share:.1%})"))
-            rows.append(
-                ("pruning maintenance", str(self.pruning.get("maintenance_evals", 0)))
             )
         if self.slab is not None and self.slab.get("rows_used"):
             rows.append(

@@ -380,7 +380,6 @@ def parallel_fit(
             seed=model._rng,
             tracer=tracer,
             validate=model.validate,
-            hint_chunk=model.hint_chunk,
         )
         # Start the merge at the most mature shard threshold: every shard
         # cluster already satisfies its own shard's T, so a tighter start
@@ -391,11 +390,6 @@ def parallel_fit(
             tree.insert_feature_batch(features)
             if model.outlier_fraction is not None:
                 tree.reabsorb_outliers()
-
-        stats = getattr(policy, "pruning_stats", None)
-        if stats is not None:
-            for result in results:
-                stats.absorb(result.pruning)
 
     model.ingest_report_ = _merge_reports(model, results, start, supervisor.stats)
     return model

@@ -94,8 +94,6 @@ class ShardResult:
     report: dict[str, Any] = field(default_factory=dict)
     #: ``Quarantine.get_state()`` with shard-local indices.
     quarantine: dict[str, Any] = field(default_factory=dict)
-    #: ``PruningStats.as_dict()`` of the shard's routing engine.
-    pruning: dict[str, int] = field(default_factory=dict)
     #: Worker wall-clock seconds for the whole shard.
     elapsed_seconds: float = 0.0
     #: Worker peak RSS in KiB.
@@ -180,7 +178,6 @@ def run_shard(task: ShardTask) -> ShardResult:
     _MetricStrippingPickler(buf).dump(
         {"features": features, "threshold": threshold}
     )
-    pruning_stats = getattr(model.tree_.policy, "pruning_stats", None) if model.tree_ is not None else None
     return ShardResult(
         shard_id=task.shard_id,
         payload=buf.getvalue(),
@@ -190,7 +187,6 @@ def run_shard(task: ShardTask) -> ShardResult:
         by_site=dict(ledger.by_site),
         report=model.ingest_report_.to_dict(),
         quarantine=model.quarantine_.get_state(),
-        pruning=dict(pruning_stats.as_dict()) if pruning_stats is not None else {},
         elapsed_seconds=time.perf_counter() - start,
         peak_rss_kb=peak_rss_kb(),
         resumed_at=model.ingest_report_.resumed_at,

@@ -22,11 +22,14 @@ load checkpoints you wrote yourself — pickle executes code on load.
 from __future__ import annotations
 
 import io
+import itertools
 import json
 import os
 import pickle
+import zlib
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from typing import Any
 
 import numpy as np
 
@@ -142,7 +145,10 @@ def load_subclusters(
 # Scan checkpoints
 # ----------------------------------------------------------------------
 
-_CHECKPOINT_VERSION = 1
+#: Version 2 dropped the pruned-routing state (its counters and the
+#: non-leaf sample-cache ``geometry`` slot) that version 1 pickles carry,
+#: and wraps the snapshot in a checksummed envelope.
+_CHECKPOINT_VERSION = 2
 _METRIC_PID = "repro.metric"
 _TRACER_PID = "repro.tracer"
 
@@ -210,11 +216,10 @@ class Checkpoint:
         """A ready ``cftree`` :class:`~repro.index.MetricIndex` over the
         restored tree's clustroids.
 
-        The leaf geometry caches travel inside the checkpoint pickle
-        (``node.aux``), so serving queries from a restored checkpoint
-        costs only the non-leaf anchor distances — no re-measurement of
-        the leaf pairwise matrices. ``metric`` defaults to the one
-        re-attached at load time.
+        Leaf geometry built by an index adopted before the save travels
+        inside the checkpoint pickle (``node.aux``) and is reused; any
+        other leaf gets its geometry built at adoption. ``metric``
+        defaults to the one re-attached at load time.
         """
         from repro.index.cftree import CFTreeIndex
 
@@ -237,12 +242,14 @@ def save_checkpoint(
     uninterrupted one would. The distance function is *not* stored;
     :func:`load_checkpoint` re-attaches one.
 
-    The write goes to a temp file in the same directory followed by
-    ``os.replace``, so a crash mid-write never corrupts an existing
-    checkpoint.
+    The snapshot is stored as bytes inside a small envelope next to its
+    format version and CRC-32 checksum, so :func:`load_checkpoint` reads
+    the version before building any object and rejects a damaged file
+    instead of resuming from it. The write goes to a temp file in the same
+    directory followed by ``os.replace``, so a crash mid-write never
+    corrupts an existing checkpoint.
     """
     payload = {
-        "format_version": _CHECKPOINT_VERSION,
         "cursor": int(cursor),
         "state": state or {},
         "metadata": metadata or {},
@@ -250,17 +257,50 @@ def save_checkpoint(
     }
     buf = io.BytesIO()
     _MetricStrippingPickler(buf).dump(payload)
+    body = buf.getvalue()
+    envelope = {
+        "format_version": _CHECKPOINT_VERSION,
+        "crc32": zlib.crc32(body),
+        "body": body,
+    }
     path = os.fspath(path)
     tmp = f"{path}.tmp.{os.getpid()}"
     try:
         with open(tmp, "wb") as f:
-            f.write(buf.getvalue())
+            f.write(pickle.dumps(envelope, protocol=pickle.HIGHEST_PROTOCOL))
             f.flush()
             os.fsync(f.fileno())
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):  # pragma: no cover - crash-path cleanup
             os.unlink(tmp)
+
+
+def _version_error(version: Any) -> CheckpointError:
+    return CheckpointError(
+        f"unsupported checkpoint version {version!r} "
+        f"(this build reads version {_CHECKPOINT_VERSION})"
+    )
+
+
+def _peek_version(raw: bytes) -> Any:
+    """The ``format_version`` of a checkpoint, read from its first pickle
+    opcodes without building any object, so a checkpoint whose classes no
+    longer exist still reports its version. ``None`` when not found."""
+    import pickletools  # deferred: only checkpoint loads need it
+
+    try:
+        ops = pickletools.genops(raw)
+        for _, arg, _ in itertools.islice(ops, 16):
+            if arg == "format_version":
+                for op, value, _ in itertools.islice(ops, 4):
+                    if op.name not in ("MEMOIZE", "BINPUT", "LONG_BINPUT", "PUT"):
+                        return value
+                return None
+    except Exception:
+        # A corrupt stream: the full load below diagnoses it.
+        return None
+    return None
 
 
 def load_checkpoint(path: str | os.PathLike, metric: DistanceFunction) -> Checkpoint:
@@ -285,27 +325,35 @@ def load_checkpoint(path: str | os.PathLike, metric: DistanceFunction) -> Checkp
             "sequential checkpoint file; resume it with a sharded build "
             "(n_jobs/n_shards) using the same n_shards it was written with"
         )
+    with open(path, "rb") as f:
+        raw = f.read()
+    version = _peek_version(raw)
+    if version is not None and version != _CHECKPOINT_VERSION:
+        raise _version_error(version)
     try:
-        with open(path, "rb") as f:
-            payload = _MetricRestoringUnpickler(f, metric).load()
-    except (OSError, CheckpointError):
-        # I/O failures and our own diagnostics carry their meaning already.
+        envelope = pickle.loads(raw)
+        if not isinstance(envelope, dict) or "body" not in envelope:
+            raise CheckpointError(f"checkpoint {path!r} has an unrecognized layout")
+        if envelope.get("format_version") != _CHECKPOINT_VERSION:
+            raise _version_error(envelope.get("format_version"))
+        body = envelope["body"]
+        if zlib.crc32(body) != envelope.get("crc32"):
+            raise CheckpointError(
+                f"checkpoint {path!r} is corrupt: its checksum does not match"
+            )
+        payload = _MetricRestoringUnpickler(io.BytesIO(body), metric).load()
+    except CheckpointError:
+        # Our own diagnostics carry their meaning already.
         raise
     except Exception as exc:
         # pickle surfaces corrupt streams through a zoo of exception types,
         # not just UnpicklingError: a stray GET opcode raises ValueError, a
         # flipped length byte can surface IndexError, MemoryError, even
-        # SystemError from the C accelerator — so any non-I/O failure of
-        # the load is diagnosed as a corrupt checkpoint.
+        # SystemError from the C accelerator — so any failure of the load
+        # is diagnosed as a corrupt checkpoint.
         raise CheckpointError(f"cannot read checkpoint {path!r}: {exc}") from exc
     if not isinstance(payload, dict) or "tree" not in payload:
         raise CheckpointError(f"checkpoint {path!r} has an unrecognized layout")
-    version = payload.get("format_version")
-    if version != _CHECKPOINT_VERSION:
-        raise CheckpointError(
-            f"unsupported checkpoint version {version!r} "
-            f"(this build reads version {_CHECKPOINT_VERSION})"
-        )
     return Checkpoint(
         tree=payload["tree"],
         cursor=int(payload.get("cursor", 0)),

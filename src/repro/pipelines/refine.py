@@ -19,7 +19,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from repro.exceptions import ParameterError
-from repro.metrics.base import DistanceFunction
+from repro.metrics.base import DistanceFunction, site
 from repro.pipelines.labeling import nearest_assignment
 from repro.utils.rng import ensure_rng
 from repro.utils.sampling import sample_without_replacement
@@ -60,6 +60,8 @@ def refine_labels(
     -------
     ``(labels, centers)`` after the final round. Empty clusters keep their
     previous center.
+
+    Every distance call is charged to the ``refine`` ledger site.
     """
     if iterations < 1:
         raise ParameterError(f"iterations must be >= 1, got {iterations}")
@@ -73,23 +75,24 @@ def refine_labels(
     if center_method == "auto":
         center_method = "centroid" if _is_vector(centers[0]) else "medoid"
 
-    if labels is None:
-        labels = nearest_assignment(metric, objects, centers)
-    labels = np.asarray(labels, dtype=np.intp)
+    with site("refine"):
+        if labels is None:
+            labels = nearest_assignment(metric, objects, centers)
+        labels = np.asarray(labels, dtype=np.intp)
 
-    for _ in range(iterations):
-        new_centers = []
-        for cluster in range(len(centers)):
-            members = [objects[i] for i in np.flatnonzero(labels == cluster)]
-            if not members:
-                new_centers.append(centers[cluster])
-                continue
-            if center_method == "centroid":
-                new_centers.append(np.asarray(members, dtype=np.float64).mean(axis=0))
-            else:
-                new_centers.append(_sampled_medoid(metric, members, medoid_sample, rng))
-        centers = new_centers
-        labels = nearest_assignment(metric, objects, centers)
+        for _ in range(iterations):
+            new_centers = []
+            for cluster in range(len(centers)):
+                members = [objects[i] for i in np.flatnonzero(labels == cluster)]
+                if not members:
+                    new_centers.append(centers[cluster])
+                    continue
+                if center_method == "centroid":
+                    new_centers.append(np.asarray(members, dtype=np.float64).mean(axis=0))
+                else:
+                    new_centers.append(_sampled_medoid(metric, members, medoid_sample, rng))
+            centers = new_centers
+            labels = nearest_assignment(metric, objects, centers)
     return labels, centers
 
 

@@ -83,7 +83,7 @@ class TestBubblePolicy:
                 assert tuple(np.asarray(s)) in pool
 
     def test_routing_matches_d2_definition(self):
-        tree, policy, metric = grown_tree(prune=False)
+        tree, policy, metric = grown_tree()
         node = tree.root
         if node.is_leaf:
             pytest.skip("tree did not grow")
@@ -93,24 +93,6 @@ class TestBubblePolicy:
             object_to_set_distance(metric, obj, entry.summary) for entry in node.entries
         ]
         np.testing.assert_allclose(dists, expected, rtol=1e-9)
-
-    def test_pruned_routing_picks_same_entry(self):
-        # The pruned path may report +inf for pruned entries, but the
-        # selected entry (argmin) must match exhaustive D2 exactly.
-        tree, policy, metric = grown_tree()
-        node = tree.root
-        if node.is_leaf:
-            pytest.skip("tree did not grow")
-        rng = np.random.default_rng(7)
-        for _ in range(10):
-            obj = rng.uniform(0, 100, size=2)
-            dists = policy.nonleaf_distances(node, obj)
-            expected = [
-                object_to_set_distance(metric, obj, e.summary) for e in node.entries
-            ]
-            assert int(np.argmin(dists)) == int(np.argmin(expected))
-            i = int(np.argmin(dists))
-            assert dists[i] == pytest.approx(expected[i], rel=1e-9)
 
     def test_leaf_entry_matrix_matches_pairwise(self):
         tree, policy, metric = grown_tree()
@@ -141,7 +123,7 @@ class TestBubbleFMPolicy:
 
     def test_fallback_with_few_samples(self):
         # image_dim so large that 2k exceeds any node's sample count.
-        tree, policy, metric = grown_tree(BubbleFMPolicy, image_dim=50, prune=False)
+        tree, policy, metric = grown_tree(BubbleFMPolicy, image_dim=50)
         node = tree.root
         if node.is_leaf:
             pytest.skip("tree did not grow")
@@ -153,25 +135,6 @@ class TestBubbleFMPolicy:
             object_to_set_distance(metric, obj, e.summary) for e in node.entries
         ]
         np.testing.assert_allclose(dists, expected, rtol=1e-9)
-
-    def test_fallback_pruned_routing_picks_same_entry(self):
-        # With pruning on, the fallback may report +inf for pruned entries,
-        # but the selected entry (argmin) must match exhaustive D2 exactly.
-        tree, policy, metric = grown_tree(BubbleFMPolicy, image_dim=50)
-        node = tree.root
-        if node.is_leaf:
-            pytest.skip("tree did not grow")
-        assert node.aux.mapper is None
-        rng = np.random.default_rng(5)
-        for _ in range(10):
-            obj = rng.uniform(0, 100, size=2)
-            dists = policy.nonleaf_distances(node, obj)
-            expected = [
-                object_to_set_distance(metric, obj, e.summary) for e in node.entries
-            ]
-            assert int(np.argmin(dists)) == int(np.argmin(expected))
-            i = int(np.argmin(dists))
-            assert dists[i] == pytest.approx(expected[i], rel=1e-9)
 
     def test_fm_routing_costs_2k_calls(self):
         tree, policy, metric = grown_tree(BubbleFMPolicy, image_dim=2)

@@ -68,6 +68,41 @@ class TestCheckpointPrimitives:
         with pytest.raises(CheckpointError):
             load_checkpoint(path, metric=EuclideanDistance())
 
+    def test_damaged_body_fails_the_checksum(self, points, tmp_path):
+        path = tmp_path / "scan.ckpt"
+        model = BUBBLE(EuclideanDistance(), max_nodes=20, seed=3)
+        model.partial_fit(points[:100])
+        save_checkpoint(path, model.tree_, cursor=100)
+        raw = bytearray(path.read_bytes())
+        raw[len(raw) // 2] ^= 0xFF
+        path.write_bytes(bytes(raw))
+        with pytest.raises(CheckpointError, match="checksum"):
+            load_checkpoint(path, metric=EuclideanDistance())
+
+    def test_version_1_checkpoint_reports_its_version(self, tmp_path, monkeypatch):
+        # Version 1 pickled pruned-routing state whose classes are gone;
+        # the load must name the version, not fail inside the unpickler.
+        import pickle
+        import sys
+        import types
+
+        legacy = types.ModuleType("repro.core.routing")
+        PruningStats = type("PruningStats", (), {"__module__": legacy.__name__})
+        legacy.PruningStats = PruningStats
+        monkeypatch.setitem(sys.modules, legacy.__name__, legacy)
+        payload = {
+            "format_version": 1,
+            "cursor": 10,
+            "state": {},
+            "metadata": {},
+            "tree": PruningStats(),
+        }
+        path = tmp_path / "v1.ckpt"
+        path.write_bytes(pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL))
+        monkeypatch.delitem(sys.modules, legacy.__name__)
+        with pytest.raises(CheckpointError, match="version 1 "):
+            load_checkpoint(path, metric=EuclideanDistance())
+
     def test_atomic_write_replaces_existing(self, points, tmp_path):
         path = tmp_path / "scan.ckpt"
         model = BUBBLE(EuclideanDistance(), max_nodes=20, seed=3)

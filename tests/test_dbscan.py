@@ -132,3 +132,52 @@ class TestAgainstBruteForce:
             assert label not in got, "two core components share a label"
             got[label] = comp
         assert set(np.flatnonzero(model.core_mask_)) == core
+
+
+def brute_dbscan(metric, objects, eps, min_pts):
+    """Reference DBSCAN over brute-force eps-neighbourhoods."""
+    hoods = [
+        np.flatnonzero(metric.one_to_many(obj, objects) <= eps).tolist()
+        for obj in objects
+    ]
+    labels = np.full(len(objects), NOISE, dtype=np.intp)
+    visited = np.zeros(len(objects), dtype=bool)
+    cluster = 0
+    for start in range(len(objects)):
+        if visited[start]:
+            continue
+        visited[start] = True
+        if len(hoods[start]) < min_pts:
+            continue
+        labels[start] = cluster
+        queue = list(hoods[start])
+        while queue:
+            j = queue.pop()
+            if labels[j] == NOISE:
+                labels[j] = cluster
+            if not visited[j]:
+                visited[j] = True
+                if len(hoods[j]) >= min_pts:
+                    queue.extend(hoods[j])
+        cluster += 1
+    return labels
+
+
+class TestBruteForceReference:
+    def test_vector_labels_equal_reference(self, rng):
+        centers = rng.uniform(0, 10, size=(4, 2))
+        pts = [centers[i % 4] + 0.4 * rng.normal(size=2) for i in range(160)]
+        pts += list(rng.uniform(0, 10, size=(20, 2)))  # scattered noise
+        model = MetricDBSCAN(eps=0.35, min_pts=4, metric=EuclideanDistance()).fit(pts)
+        expected = brute_dbscan(EuclideanDistance(), pts, 0.35, 4)
+        np.testing.assert_array_equal(model.labels_, expected)
+
+    def test_string_labels_equal_reference(self, rng):
+        alphabet = list("abcd")
+        words = [
+            "".join(rng.choice(alphabet, size=int(rng.integers(3, 7))))
+            for _ in range(80)
+        ]
+        model = MetricDBSCAN(eps=1.0, min_pts=3, metric=EditDistance()).fit(words)
+        expected = brute_dbscan(EditDistance(), words, 1.0, 3)
+        np.testing.assert_array_equal(model.labels_, expected)

@@ -17,6 +17,7 @@ from repro.index import (
     NeighborHeap,
     QueryBoundCache,
     available_backends,
+    brute_force_reference,
     make_index,
 )
 from repro.metrics import EditDistance, EuclideanDistance
@@ -202,6 +203,30 @@ class TestCFTreeIndex:
         assert result.neighbors
         assert index.stats.build_calls > 0
 
+    def test_fresh_fit_builds_every_leaf_geometry_at_adoption(self):
+        # Clustered data under a node budget: objects are absorbed into
+        # full leaves, so no leaf may arrive with geometry from the scan.
+        metric = EuclideanDistance()
+        rng = np.random.default_rng(9)
+        centers = rng.uniform(0, 20, size=(6, 3))
+        objects = [centers[i % 6] + 0.5 * rng.normal(size=3) for i in range(300)]
+        model = BUBBLE(
+            metric, max_nodes=30, branching_factor=6, sample_size=12,
+            representation_number=4, seed=0,
+        ).fit(objects)
+        leaves = list(model.tree_.leaves())
+        index = model.index()
+        assert index.stats.extras["geometry_builds"] == len(leaves)
+        assert index.stats.extras["maintenance_evals"] == sum(
+            len(leaf.entries) ** 2 for leaf in leaves
+        )
+        for query in objects[:10] + [np.zeros(3)]:
+            got = [(n.distance, n.index) for n in index.nearest(query, k=5)]
+            assert got == brute_force_reference(metric, index.objects, query, 5)
+        # A second adoption of the unchanged tree reuses every cached row.
+        again = model.index()
+        assert again.stats.extras == {"maintenance_evals": 0, "geometry_builds": 0}
+
     def test_model_index_accessor(self):
         model = _fit_bubble(_points(40, seed=5))
         index = model.index()
@@ -221,8 +246,8 @@ class TestCheckpointRoundTrip:
         fresh_metric = EuclideanDistance()
         ck = load_checkpoint(path, fresh_metric)
         index = ck.index()
-        # Leaf geometry travels in the pickle: building the index costs
-        # only the non-leaf anchor gathers, far below one brute scan.
+        # Leaf geometry is uncounted maintenance: the counted index build
+        # is only the non-leaf anchor gathers, far below one brute scan.
         assert index.stats.build_calls < len(index)
         query = np.zeros(3)
         row = fresh_metric.one_to_many(query, list(index.objects))

@@ -120,6 +120,26 @@ class TestConservation:
         assert sum(by_site.values()) == tracer.total_calls
         assert by_site["map-first"] >= result.n_distance_calls > 0
 
+    def test_sharded_pipelines_and_refine_leave_nothing_unattributed(self):
+        from repro.pipelines import cluster_dataset, refine_labels
+
+        objects = _ds2_objects(n=150, seed=25)
+        metric = EuclideanDistance()
+        tracer = Tracer()
+        with tracer:
+            for method in ("hac", "clarans", "clara"):
+                result = cluster_dataset(
+                    objects, metric, 5, max_nodes=12, global_method=method,
+                    n_jobs=2, seed=0, tracer=tracer,
+                )
+                refine_labels(
+                    objects, metric, result.centers, result.labels, seed=0
+                )
+        by_site = tracer.calls_by_site
+        assert "unattributed" not in by_site
+        assert by_site["refine"] > 0
+        assert sum(by_site.values()) == metric.n_calls
+
     def test_untraced_metrics_do_not_leak_into_ledger(self):
         tracer = Tracer()
         outside = EuclideanDistance()

@@ -166,8 +166,8 @@ class TestRPL102:
             "core/bubble.py",
             "core/bubble_fm.py",
             "core/features.py",
-            "core/routing.py",
             "core/threshold.py",
+            "index/cftree.py",
             "metrics/base.py",
             "observability/tracer.py",
         ],

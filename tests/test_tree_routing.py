@@ -123,3 +123,25 @@ class TestSplitImageReuse:
         assert tree.height >= 3
         labels = model.assign(list(rng.uniform(0, 500, size=(20, 2))), via="tree")
         assert labels.shape == (20,)
+
+
+class TestConservationLaw:
+    def test_site_attribution_sums_to_total(self):
+        from repro.core.bubble import BubblePolicy
+        from repro.observability import Tracer
+
+        rng = np.random.default_rng(12)
+        objs = [rng.uniform(0, 100, size=3) for _ in range(400)]
+        metric = EuclideanDistance()
+        tracer = Tracer()
+        with tracer:
+            policy = BubblePolicy(
+                metric, representation_number=4, sample_size=8, seed=0
+            )
+            tree = CFTree(policy, branching_factor=4, threshold=0.5, seed=0)
+            for obj in objs:
+                tree.insert(obj)
+        tracer.close()
+        summary = tracer.summary()
+        assert summary["ncd_total"] == metric.n_calls
+        assert sum(summary["ncd_by_site"].values()) == summary["ncd_total"]
