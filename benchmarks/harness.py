@@ -656,6 +656,10 @@ QUERY_BACKENDS = ("brute", "mtree", "vptree", "cftree")
 #: Neighbours per k-NN query.
 QUERY_K = 3
 
+#: Seed of the VP-tree's vantage-point draws, so its recorded costs repeat
+#: from run to run.
+QUERY_VPTREE_SEED = 0
+
 #: Queries per workload (distinct points, so the cross-query bound cache
 #: cannot trivially serve them — repeats are measured separately).
 QUERY_COUNT = 25
@@ -696,7 +700,8 @@ def _query_scan(
             if backend == "cftree":
                 index = CFTreeIndex.from_tree(model.tree_, metric=metric)
             else:
-                index = make_index(backend, metric)
+                seeded = {"seed": QUERY_VPTREE_SEED} if backend == "vptree" else {}
+                index = make_index(backend, metric, **seeded)
                 index.build(indexed)
             keyed = []
             knn_calls = 0

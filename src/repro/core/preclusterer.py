@@ -619,43 +619,25 @@ class PreClusterer:
         Parameters
         ----------
         via:
-            ``"linear"`` compares each object against every clustroid
-            (exact; ``O(K)`` distance calls per object). ``"tree"`` routes
-            each object down the CF*-tree (logarithmic cost, slightly
-            approximate) — the option that makes the second phase viable
+            ``"linear"`` finds each object's nearest clustroid exactly
+            (:func:`~repro.pipelines.labeling.nearest_assignment`: a
+            triangle-inequality search over the clustroids' distance
+            matrix, which it measures once, with the linear argmin's
+            labels). ``"tree"`` routes each object down the CF*-tree
+            (logarithmic cost, slightly approximate) — the cheaper option
             when there are thousands of sub-clusters and the metric is
             expensive, as in the data-cleaning application of Section 7.
-            ``"mtree"`` builds an M-tree over the clustroids once and
-            answers each lookup with an exact nearest-neighbour query —
-            exact like ``"linear"``, sublinear per object like ``"tree"``.
         """
         tree = self._require_tree()
         with self.tracer.activation(), self.tracer.span("redistribute"):
             if via == "linear":
-                clustroids = self.clustroids_
-                labels = [
-                    int(np.argmin(self.metric.one_to_many(obj, clustroids)))
-                    for obj in objects
-                ]
-            elif via == "tree":
-                index = {id(f): i for i, f in enumerate(tree.leaf_features())}
-                labels = [index[id(tree.nearest_leaf_feature(obj))] for obj in objects]
-            elif via == "mtree":
-                from repro.mtree import MTree
+                from repro.pipelines.labeling import nearest_assignment
 
-                # Neighbour indices are clustroid positions, so repeated
-                # clustroids (equal-valued objects in different clusters)
-                # stay unambiguous, and the (distance, index) tie-break
-                # matches the linear scan's argmin-first-index exactly.
-                index = MTree(self.metric, node_capacity=8)
-                index.build(self.clustroids_)
-                labels = [
-                    index.nearest(obj).neighbors[0].index for obj in objects
-                ]
-            else:
-                raise ParameterError(
-                    f'via must be "linear", "tree" or "mtree", got {via!r}'
-                )
+                return nearest_assignment(self.metric, objects, self.clustroids_)
+            if via != "tree":
+                raise ParameterError(f'via must be "linear" or "tree", got {via!r}')
+            index = {id(f): i for i, f in enumerate(tree.leaf_features())}
+            labels = [index[id(tree.nearest_leaf_feature(obj))] for obj in objects]
         return np.asarray(labels, dtype=np.intp)
 
 

@@ -151,11 +151,12 @@ def run_ablation_mappers(scale: str | Scale = "laptop", seed: int = 10) -> Table
 
 
 def run_ablation_labeling(scale: str | Scale = "laptop", seed: int = 11) -> TableResult:
-    """A6: the three second-phase labeling strategies on cost vs accuracy.
+    """A6: the two second-phase labeling strategies on cost vs accuracy.
 
-    ``linear`` is the paper's exact scan; ``tree`` routes through the
-    CF*-tree; ``mtree`` is an exact nearest-neighbour index over the
-    clustroids. Agreement is measured against the exact scan.
+    ``linear`` is the paper's exact nearest-clustroid scan (pruned over
+    the clustroid distance matrix); ``tree`` routes through the CF*-tree.
+    Agreement is measured against an unpruned argmin over every
+    clustroid, on a separate metric.
     """
     scale = resolve_scale(scale)
     ds = make_cell_dataset(
@@ -165,12 +166,14 @@ def run_ablation_labeling(scale: str | Scale = "laptop", seed: int = 11) -> Tabl
     model = BUBBLE(
         metric, branching_factor=8, sample_size=40, max_nodes=80, seed=seed
     ).fit(ds.as_objects())
-    reference = model.assign(ds.as_objects(), via="linear")
+    objects = ds.as_objects()
+    clustroids, unpruned = model.clustroids_, EuclideanDistance()
+    reference = [np.argmin(unpruned.one_to_many(obj, clustroids)) for obj in objects]
     rows = []
-    for via in ("linear", "mtree", "tree"):
+    for via in ("linear", "tree"):
         before = metric.n_calls
         start = time.perf_counter()
-        labels = model.assign(ds.as_objects(), via=via)
+        labels = model.assign(objects, via=via)
         rows.append(
             [
                 via,
@@ -182,12 +185,12 @@ def run_ablation_labeling(scale: str | Scale = "laptop", seed: int = 11) -> Tabl
     return TableResult(
         experiment="Ablation A6",
         description=(
-            f"Second-phase labeling over {model.n_subclusters_} sub-clusters "
-            "(agreement vs the exact linear scan)"
+            f"Second-phase labeling of {len(objects)} objects over "
+            f"{model.n_subclusters_} sub-clusters (agreement vs the unpruned argmin)"
         ),
         columns=["strategy", "NCD", "seconds", "agreement"],
         rows=rows,
-        context={"scale": scale.name, "seed": seed,
+        context={"scale": scale.name, "seed": seed, "n_objects": len(objects),
                  "n_subclusters": model.n_subclusters_},
     )
 

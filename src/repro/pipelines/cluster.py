@@ -69,18 +69,11 @@ class ClusteringResult:
         return len(self.centers)
 
 
-def _weighted_medoid(
-    metric: DistanceFunction, objects: Sequence, weights: Sequence[float]
-):
-    """The member minimizing the weighted sum of squared distances."""
-    best_obj, best_cost = None, np.inf
-    w = np.asarray(weights, dtype=np.float64)
-    for obj in objects:
-        dists = metric.one_to_many(obj, objects)
-        cost = float(np.dot(w, dists**2))
-        if cost < best_cost:
-            best_obj, best_cost = obj, cost
-    return best_obj
+def _weighted_medoid(dists: np.ndarray, weights: np.ndarray) -> int:
+    """Position of the member minimizing the weighted sum of squared
+    distances, given the members' distance matrix (first on ties)."""
+    costs = [float(np.dot(weights, row**2)) for row in dists]
+    return int(np.argmin(costs))
 
 
 def cluster_dataset(
@@ -211,6 +204,7 @@ def cluster_dataset(
     clustroids = [s.clustroid for s in subclusters]
     weights = [s.n for s in subclusters]
     k = min(n_clusters, len(subclusters))
+    dm: np.ndarray | None = None
     with tracer.activation():
         if global_method == "hac":
             with tracer.span("global-phase"):
@@ -220,9 +214,9 @@ def cluster_dataset(
 
                     with tracer.span("global-matrix"):
                         dm = pairwise_matrix(metric, clustroids, n_jobs=n_jobs)
-                    hac.fit(distance_matrix=dm, weights=weights)
                 else:
-                    hac.fit(objects=clustroids, metric=metric, weights=weights)
+                    dm = metric.pairwise(clustroids)
+                hac.fit(distance_matrix=dm, weights=weights)
             sub_labels = hac.labels_
             n_final = hac.n_clusters_
         else:
@@ -245,6 +239,7 @@ def cluster_dataset(
         if center_method == "auto":
             center_method = "centroid" if _is_vector(clustroids[0]) else "medoid"
         centers: list = []
+        medoids: list[int] = []  # clustroid position of each medoid center
         remap = {}
         for cluster in range(n_final):
             idx = np.flatnonzero(sub_labels == cluster)
@@ -256,13 +251,27 @@ def cluster_dataset(
             if center_method == "centroid":
                 mat = np.asarray(group, dtype=np.float64)
                 centers.append(mat.mean(axis=0))
+                continue
+            # The hac matrix already holds the group's distances; the
+            # medoid searches measure them (rows equal one_to_many's).
+            if dm is not None:
+                dists = dm[np.ix_(idx, idx)]
             else:
-                centers.append(_weighted_medoid(metric, group, group_w))
+                dists = metric.cross(group, group)
+            medoids.append(int(idx[_weighted_medoid(dists, group_w)]))
+            centers.append(clustroids[medoids[-1]])
     sub_labels = np.asarray([remap[int(c)] for c in sub_labels], dtype=np.intp)
 
     if assign:
+        # Medoid centers are clustroids, so their distances are a free
+        # block of the hac matrix. Not for vectors: Euclidean ``pairwise``
+        # takes the Gram-matrix form, whose rounding on close points far
+        # from the origin can exceed the labeling bounds' slack.
+        center_dists = None
+        if dm is not None and center_method == "medoid" and not _is_vector(centers[0]):
+            center_dists = dm[np.ix_(medoids, medoids)]
         with tracer.activation(), tracer.span("redistribute"):
-            labels = nearest_assignment(metric, objects, centers)
+            labels = nearest_assignment(metric, objects, centers, center_dists)
     else:
         labels = None
     return ClusteringResult(

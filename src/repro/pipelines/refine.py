@@ -48,8 +48,10 @@ def refine_labels(
     labels:
         Optional current labels; computed from ``centers`` if omitted.
     iterations:
-        Refinement rounds. Each round costs one labeling scan
-        (``N * K`` calls) plus the center recomputation.
+        Refinement rounds. Each round costs one exact labeling scan
+        (:func:`~repro.pipelines.labeling.nearest_assignment`: at most
+        ``N * K`` calls, usually far fewer, plus ``K(K-1)/2`` for the new
+        centers' distance matrix) and the center recomputation.
     center_method:
         ``"centroid"`` (vector mean), ``"medoid"`` (sampled clustroid), or
         ``"auto"`` (centroid when centers are numeric vectors).
