@@ -13,22 +13,19 @@ This module provides:
 * :class:`RelativeEditDistance` — length-normalized edit distance as used by
   the RED comparator of French, Powell and Schulman.
 
-All DP loops are two-row and support an optional ``upper_bound`` early exit:
-once every entry of the current row exceeds the bound the true distance
-cannot come back below it, so the caller-supplied bound is returned instead.
-
-Batched gathers (the ``one_to_many`` row a tree descent or an index query
-issues) run the unit-cost Levenshtein DP over a whole block of targets at
-once (:func:`levenshtein_block`): targets are padded into one code-point
-matrix and each query character advances every target's DP row with a few
-vectorized numpy operations, replacing ``len(objects)`` scalar DP loops
-with one ``O(len(query))``-step block recurrence. Results and counted-call
-accounting are bit-identical to the scalar loop.
+Every unbounded :class:`EditDistance` evaluation, single or batched, runs
+the bit-parallel kernel :func:`levenshtein_bitparallel`, which costs per
+pair, not per dispatch, and is exact. The scalar two-row DP
+:func:`edit_distance` serves weighted costs and the ``upper_bound`` early
+exit: once every entry of the current row exceeds the bound the true
+distance cannot come back below it, so the bound is returned instead. A
+pair whose rows never all exceed it gets its exact distance, which may
+still exceed the bound, so a bounded result is not ``min(d, bound)``.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from typing import Any
 
 import numpy as np
@@ -39,7 +36,7 @@ from repro.metrics.base import DistanceFunction
 __all__ = [
     "edit_distance",
     "damerau_levenshtein",
-    "levenshtein_block",
+    "levenshtein_bitparallel",
     "EditDistance",
     "WeightedEditDistance",
     "DamerauLevenshteinDistance",
@@ -141,58 +138,43 @@ def damerau_levenshtein(a: str, b: str) -> float:
     return float(prev[lb])
 
 
-#: Pad sentinel for the block DP's code-point matrix: not a valid Unicode
-#: code point, so it never equals a query character and padded columns keep
-#: accumulating cost — they can never leak into a real column's minimum at
-#: or before the target's true length.
-_PAD = np.uint32(0xFFFFFFFF)
-
-
-def _codes(s: str) -> np.ndarray:
-    """Unicode code points of ``s`` as a uint32 vector."""
-    return np.frombuffer(s.encode("utf-32-le"), dtype=np.uint32)
-
-
-def levenshtein_block(query: str, targets: Sequence[str]) -> np.ndarray:
+def levenshtein_bitparallel(query: str, targets: Iterable[str]) -> list[int]:
     """Unit-cost Levenshtein distances from ``query`` to every target.
 
-    One vectorized DP over a padded code-point matrix: for each query
-    character the whole block's DP row advances with a handful of numpy
-    operations (substitution/deletion elementwise, then the insertion
-    running minimum via ``np.minimum.accumulate`` on cost-minus-column,
-    the standard trick that turns the left-to-right dependency into an
-    associative prefix scan). Exact — integral distances, bit-identical
-    to :func:`edit_distance` per pair.
+    Myers' bit-vector algorithm in Hyyrö's Levenshtein form: bit ``i`` of
+    ``pv``/``mv`` says whether the DP column steps up/down by one at query
+    row ``i``, so a column advances with about a dozen integer operations
+    per target character. Masks are unbounded Python ints, so any length
+    works; trimming ``pv`` to ``len(query)`` bits keeps them short and is
+    safe, since carries and shifts move bits upward only and nothing above
+    bit ``len(query) - 1``, the score's, can reach it. Exact.
     """
-    n = len(targets)
-    out = np.empty(n, dtype=np.float64)
-    if n == 0:
-        return out
-    q = _codes(query)
-    lens = np.fromiter((len(t) for t in targets), count=n, dtype=np.int64)
-    if len(q) == 0:
-        return lens.astype(np.float64)
-    width = int(lens.max())
-    if width == 0:
-        out[:] = float(len(q))
-        return out
-    block = np.full((n, width), _PAD, dtype=np.uint32)
-    for row, t in enumerate(targets):
-        if t:
-            block[row, : len(t)] = _codes(t)
-    arange = np.arange(width + 1, dtype=np.int64)
-    prev = np.broadcast_to(arange, (n, width + 1)).copy()
-    for i, code in enumerate(q, start=1):
-        sub = prev[:, :-1] + (block != code)
-        dele = prev[:, 1:] + 1
-        stepped = np.minimum(sub, dele)
-        # Insertion closes over the row: curr[j] = min_{j' <= j}
-        # (cand[j'] + (j - j')) with cand[0] = i (the empty-target column).
-        cand = np.concatenate(
-            [np.full((n, 1), i, dtype=np.int64), stepped], axis=1
-        )
-        prev = np.minimum.accumulate(cand - arange, axis=1) + arange
-    out[:] = prev[np.arange(n), lens]
+    m = len(query)
+    if m == 0:
+        return [len(t) for t in targets]
+    peq: dict[str, int] = {}
+    for i, ch in enumerate(query):
+        peq[ch] = peq.get(ch, 0) | (1 << i)
+    mask = (1 << m) - 1
+    top = 1 << (m - 1)
+    get = peq.get
+    out = []
+    for target in targets:
+        pv, mv, score = mask, 0, m
+        for ch in target:
+            eq = get(ch, 0)
+            xv = eq | mv
+            xh = (((eq & pv) + pv) ^ pv) | eq
+            ph = mv | ~(xh | pv)
+            mh = pv & xh
+            if ph & top:
+                score += 1
+            elif mh & top:
+                score -= 1
+            ph = (ph << 1) | 1
+            pv = ((mh << 1) | ~(xv | ph)) & mask
+            mv = ph & xv
+        out.append(score)
     return out
 
 
@@ -205,11 +187,10 @@ def _require_str(x: Any) -> str:
 class EditDistance(DistanceFunction):
     """Unit-cost Levenshtein distance — the paper's canonical expensive metric.
 
-    Batched gathers (``one_to_many``, and ``cross``/``pairwise`` built on
-    it) use the vectorized block DP of :func:`levenshtein_block` instead of
-    a scalar loop when no ``upper_bound`` early exit is configured; the
-    counted-call accounting is unchanged (the public wrappers charge by
-    batch size before dispatch) and the results are bit-identical.
+    Without an ``upper_bound`` every evaluation (``distance``,
+    ``one_to_many`` and the ``cross``/``pairwise`` rows built on it) runs
+    :func:`levenshtein_bitparallel`, bit-identical to :func:`edit_distance`;
+    with one, every pair runs the scalar DP and its early exit.
     """
 
     name = "edit-distance"
@@ -221,14 +202,15 @@ class EditDistance(DistanceFunction):
         self.upper_bound = upper_bound
 
     def _distance(self, a: Any, b: Any) -> float:
-        return edit_distance(_require_str(a), _require_str(b), upper_bound=self.upper_bound)
+        if self.upper_bound is not None:
+            return edit_distance(_require_str(a), _require_str(b), upper_bound=self.upper_bound)
+        return float(levenshtein_bitparallel(_require_str(a), (_require_str(b),))[0])
 
     def _one_to_many(self, obj: Any, objects: Sequence) -> np.ndarray:
-        if self.upper_bound is not None:
-            # The early-exit contract is per-pair; keep the scalar loop.
+        if self.upper_bound is not None:  # the early exit is per pair
             return super()._one_to_many(obj, objects)
-        query = _require_str(obj)
-        return levenshtein_block(query, [_require_str(t) for t in objects])
+        row = levenshtein_bitparallel(_require_str(obj), [_require_str(t) for t in objects])
+        return np.array(row, dtype=np.float64)
 
 
 class WeightedEditDistance(DistanceFunction):

@@ -124,13 +124,16 @@ class _LiveWorker:
     started: float
 
 
-def _worker_entry(conn: Any, runner: Callable[[Any], Any], task: Any) -> None:
-    """Spawn target: run the task, send ``("result"|"error", payload)``.
+def _worker_entry(conn: Any) -> None:
+    """Spawn target: read ``(runner, task)``, send ``("result"|"error", payload)``.
 
-    Module-level so the spawn start method can pickle it. A worker that
-    dies before (or while) sending leaves the parent an EOF on ``conn`` —
-    that silence *is* the crash signal.
+    Module-level so the spawn start method can pickle it. The task comes
+    over ``conn``, not in the start arguments: ``process.start()`` blocks
+    until the child has read those, which would start a batch's workers one
+    after another. A worker that dies before (or while) sending leaves the
+    parent an EOF on ``conn`` — that silence *is* the crash signal.
     """
+    runner, task = conn.recv()
     try:
         message: tuple[str, Any] = ("result", runner(task))
     except BaseException as exc:  # delivered to the parent, not lost
@@ -344,9 +347,12 @@ class ShardSupervisor:
                         state
                     )
                 waiting = still_waiting
-                # Launch up to n_jobs workers.
+                # Start up to n_jobs workers, then send their tasks.
+                launched: list[Any] = []
                 while pending and len(live) < self.n_jobs:
-                    self._launch(context, pending.popleft(), live)
+                    launched.append(self._launch(context, pending.popleft(), live))
+                for conn in launched:
+                    self._send(conn, live[conn])
                 if not live:
                     # Everything is backing off: sleep to the next release.
                     wake = min(state.not_before for state in waiting)
@@ -363,18 +369,24 @@ class ShardSupervisor:
 
     def _launch(
         self, context: Any, state: _ShardState, live: dict[Any, _LiveWorker]
-    ) -> None:
-        task = self._prepare(state)
-        recv_conn, send_conn = context.Pipe(duplex=False)
-        process = context.Process(
-            target=_worker_entry, args=(send_conn, self.runner, task)
-        )
+    ) -> Any:
+        """Start a worker for ``state``; returns the parent's end of its connection."""
+        self._prepare(state)
+        conn, child_conn = context.Pipe()
+        process = context.Process(target=_worker_entry, args=(child_conn,))
         process.daemon = True
         process.start()
-        # Close the parent's copy of the write end, so a dead worker's pipe
-        # reads as EOF instead of blocking forever.
-        send_conn.close()
-        live[recv_conn] = _LiveWorker(state=state, process=process, started=self._clock())
+        # Close the parent's copy of the child's end, so a dead worker's
+        # connection reads as EOF instead of blocking forever.
+        child_conn.close()
+        live[conn] = _LiveWorker(state=state, process=process, started=self._clock())
+        return conn
+
+    def _send(self, conn: Any, worker: _LiveWorker) -> None:
+        try:
+            conn.send((self.runner, worker.state.task))
+        except OSError:  # dead before reading it; _collect books the crash
+            pass
 
     def _collect(
         self,

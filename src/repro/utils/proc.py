@@ -11,10 +11,14 @@ __all__ = ["peak_rss_kb"]
 def peak_rss_kb() -> int:
     """Peak resident set size of the calling process, in KiB.
 
-    ``ru_maxrss`` is reported in KiB on Linux but in bytes on macOS; the
-    value is normalized so BENCH records compare across platforms.
+    ``VmHWM`` from ``/proc/self/status`` is this process's own peak. The
+    fallback where there is no ``/proc``, ``ru_maxrss``, is not that for a
+    spawned worker, which inherits its parent's peak across fork and exec;
+    it is in bytes on macOS and normalized to KiB.
     """
-    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    if sys.platform == "darwin":  # pragma: no cover - platform-specific
-        peak //= 1024
-    return int(peak)
+    try:
+        with open("/proc/self/status") as fh:
+            return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+    except (OSError, StopIteration):  # pragma: no cover - platform-specific
+        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        return int(peak // 1024 if sys.platform == "darwin" else peak)

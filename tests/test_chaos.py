@@ -15,6 +15,8 @@ which is what the hypothesis sweep exploits for speed.
 
 from __future__ import annotations
 
+import multiprocessing
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,7 +26,7 @@ from repro.core.preclusterer import BUBBLE
 from repro.exceptions import WorkerCrashError
 from repro.metrics import EuclideanDistance
 from repro.observability import Tracer
-from repro.parallel import parallel_fit
+from repro.parallel import parallel_fit, pool
 from repro.parallel.pool import ShardSupervisor
 from repro.parallel.worker import ShardTask
 from repro.robustness import ChaosPolicy, FlakyMetric
@@ -174,6 +176,50 @@ class TestMetricFaults:
         assert_conserved(model)
         assert model.ingest_report_.workers_crashed >= 1
         assert model.ingest_report_.shards_retried >= 1
+
+
+class TestWorkerStart:
+    def test_worker_start_carries_no_task(self, monkeypatch):
+        # A task pickle larger than the pipe buffer would block
+        # process.start() until the child had bootstrapped and read it,
+        # starting the batch's workers one after another.
+        spawn = multiprocessing.get_context("spawn")
+        started = []
+
+        class SpyContext:
+            Pipe = staticmethod(spawn.Pipe)
+
+            @staticmethod
+            def Process(*, target, args):
+                started.append(args)
+                return spawn.Process(target=target, args=args)
+
+        monkeypatch.setattr(pool.multiprocessing, "get_context", lambda method: SpyContext)
+        points = make_blobs(n=60)
+        model = build(points, n_shards=2, n_jobs=2)
+        assert tree_signature(model.tree_) == tree_signature(build(points, n_shards=2).tree_)
+        assert len(started) == 2
+        assert all(not isinstance(arg, ShardTask) for args in started for arg in args)
+
+    def test_worker_dead_before_reading_its_task_is_a_crash(self, monkeypatch, audit):
+        points = make_blobs(n=90)
+        clean = build(points)
+        send = ShardSupervisor._send
+
+        def kill_then_send(self, conn, worker):
+            if worker.state.task.shard_id == 1 and worker.state.attempt == 0:
+                worker.process.kill()
+                worker.process.join()
+            send(self, conn, worker)
+
+        monkeypatch.setattr(ShardSupervisor, "_send", kill_then_send)
+        model = build(points, n_jobs=2)
+        assert tree_signature(model.tree_) == tree_signature(clean.tree_)
+        audit(model.tree_)
+        assert_conserved(model)
+        report = model.ingest_report_
+        assert report.workers_crashed == 1
+        assert report.shards_retried == 1
 
 
 class TestCorruptCheckpoint:

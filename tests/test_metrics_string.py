@@ -1,6 +1,8 @@
 """Unit tests for string metrics: edit distance and variants."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import MetricError, ParameterError
 from repro.metrics import (
@@ -10,7 +12,7 @@ from repro.metrics import (
     WeightedEditDistance,
     edit_distance,
 )
-from repro.metrics.string import damerau_levenshtein
+from repro.metrics.string import damerau_levenshtein, levenshtein_bitparallel
 
 
 class TestEditDistanceFunction:
@@ -123,12 +125,10 @@ class TestRelativeEditDistance:
 
 
 class TestLevenshteinBlock:
-    """The vectorized block DP must be bit-identical to the scalar loop."""
+    """The bit-parallel kernel over a block of targets must equal the scalar DP."""
 
     def test_matches_scalar_on_random_strings(self):
         import random
-
-        from repro.metrics.string import levenshtein_block
 
         rng = random.Random(7)
         words = [
@@ -136,29 +136,31 @@ class TestLevenshteinBlock:
             for _ in range(120)
         ]
         for query in ["", "a", "edcba", "abcde", words[0], words[50]]:
-            got = levenshtein_block(query, words)
-            assert got.dtype == float
-            assert list(got) == [edit_distance(query, w) for w in words]
+            got = levenshtein_bitparallel(query, words)
+            assert got == [edit_distance(query, w) for w in words]
+            assert all(type(d) is int for d in got)
 
     def test_edge_shapes(self):
-        from repro.metrics.string import levenshtein_block
-
-        assert len(levenshtein_block("abc", [])) == 0
-        assert list(levenshtein_block("", ["", "ab", "xyz"])) == [0.0, 2.0, 3.0]
-        assert list(levenshtein_block("abc", ["", ""])) == [3.0, 3.0]
+        assert levenshtein_bitparallel("abc", []) == []
+        assert levenshtein_bitparallel("", ["", "ab", "xyz"]) == [0, 2, 3]
+        assert levenshtein_bitparallel("abc", ["", ""]) == [3, 3]
+        assert levenshtein_bitparallel("a", ["a", "b", "ba", "bb"]) == [0, 1, 1, 2]
+        # Generators stream: the kernel takes any iterable of targets.
+        assert levenshtein_bitparallel("ab", (t for t in ["ab", "b"])) == [0, 1]
 
     def test_unicode_and_padding_mix(self):
-        from repro.metrics.string import levenshtein_block
-
-        targets = ["", "á", "ábç∂", "😀x", "a" * 40, "ábç∂éf"]
-        for query in ["ábç", "😀", "aaaa"]:
-            got = levenshtein_block(query, targets)
-            assert list(got) == [edit_distance(query, t) for t in targets]
+        # Non-BMP characters are one code point each; lengths straddle the
+        # 30-bit digit and 64-bit word boundaries of the masks.
+        targets = ["", "á", "ábç∂", "😀x", "a" * 40, "ábç∂éf", "a" * 64, "😀" * 91]
+        for query in ["ábç", "😀", "aaaa", "a" * 63, "a😀" * 33]:
+            got = levenshtein_bitparallel(query, targets)
+            assert got == [edit_distance(query, t) for t in targets]
 
     def test_one_to_many_uses_block_path_with_exact_counting(self):
         metric = EditDistance()
         words = ["cat", "cot", "dogs", "", "tack"]
         row = metric.one_to_many("cat", words)
+        assert row.dtype == float
         assert list(row) == [edit_distance("cat", w) for w in words]
         assert metric.n_calls == len(words)
         # cross/pairwise route through one_to_many: same values, same counts.
@@ -168,6 +170,7 @@ class TestLevenshteinBlock:
         pair = metric.pairwise(words)
         assert metric.n_calls == len(words) + 2 * len(words) + 5 * 4 // 2
         assert pair[1][0] == edit_distance("cot", "cat")
+        assert metric.distance("tack", "cat") == edit_distance("tack", "cat")
 
     def test_upper_bound_falls_back_to_scalar_loop(self):
         bounded = EditDistance(upper_bound=2.0)
@@ -176,3 +179,55 @@ class TestLevenshteinBlock:
         assert list(row) == [
             edit_distance("execution", w, upper_bound=2.0) for w in words
         ]
+        # The bounded DP returns the bound on an early exit but the exact
+        # distance when no row exceeded it, so it is not min(d, bound).
+        assert bounded.distance("intention", "execution") == 2.0
+        assert bounded.distance("ab", "abcd") == 2.0
+        assert EditDistance(upper_bound=1.0).distance("a", "abc") == 2.0
+
+
+#: Lengths on both sides of the masks' 30-bit digit and 64-bit word edges.
+_LENGTHS = [0, 1, 2, 29, 30, 31, 63, 64, 65, 91, 130]
+#: Small alphabet (so strings share characters) with non-BMP code points.
+_ALPHABET = "abé😀\U0001f9ea"
+
+
+def _draw_string(draw):
+    n = draw(st.sampled_from(_LENGTHS))
+    return "".join(draw(st.lists(st.sampled_from(_ALPHABET), min_size=n, max_size=n)))
+
+
+@st.composite
+def _string_pair(draw):
+    a = _draw_string(draw)
+    if draw(st.booleans()):
+        b = _draw_string(draw)
+    else:
+        # A few random edits of ``a``: small distances, long shared runs.
+        b = list(a)
+        for _ in range(draw(st.integers(0, 4))):
+            pos = draw(st.integers(0, len(b)))
+            op = draw(st.sampled_from(["insert", "delete", "substitute"]))
+            ch = draw(st.sampled_from(_ALPHABET))
+            if op == "insert":
+                b.insert(pos, ch)
+            elif pos < len(b):
+                if op == "delete":
+                    del b[pos]
+                else:
+                    b[pos] = ch
+        b = "".join(b)
+    return a, b
+
+
+class TestBitParallelProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(_string_pair())
+    def test_equals_scalar_dp_and_is_symmetric(self, pair):
+        a, b = pair
+        expected = edit_distance(a, b)
+        assert levenshtein_bitparallel(a, [b]) == [expected]
+        assert levenshtein_bitparallel(b, [a]) == [expected]
+        metric = EditDistance()
+        assert metric.distance(a, b) == metric.distance(b, a) == expected
+        assert metric.one_to_many(a, [b, a, ""]).tolist() == [expected, 0.0, len(a)]

@@ -31,6 +31,7 @@ from repro.parallel import (
 )
 from repro.parallel.matrix import _band_bounds
 from repro.robustness import FlakyMetric, GuardedMetric
+from repro.utils import peak_rss_kb
 
 __all__: list[str] = []
 
@@ -232,6 +233,19 @@ class TestAccounting:
         assert sum(s["n_objects"] for s in summaries) == len(points)
         assert all(s["n_calls"] > 0 for s in summaries)
         assert all(s["peak_rss_kb"] > 0 for s in summaries)
+
+    def test_worker_peak_rss_is_its_own(self):
+        # A spawned worker inherits its parent's ru_maxrss across fork and
+        # exec; its reported peak must be its own, not the parent's.
+        ballast = np.ones(16 << 20)  # 128 MiB, every page touched
+        del ballast
+        model = BUBBLE(
+            EuclideanDistance(), max_nodes=12, seed=1, n_shards=2, n_jobs=2
+        ).fit(make_blobs(n=60))
+        parent_kb = peak_rss_kb()
+        assert parent_kb > 128 * 1024
+        for summary in model.shard_summaries_:
+            assert 0 < summary["peak_rss_kb"] < parent_kb - 64 * 1024
 
 
 class TestQuarantineMerge:
